@@ -27,9 +27,9 @@ void CaseStudyAnalysis::on_study_begin(const trace::StudyMeta& meta) {
   num_days_ = static_cast<std::size_t>(std::max<std::int64_t>(num_days, 1));
   cur_user_ = kNoUser;
   per_app_.assign(apps_.size(), PerApp{});
-  if (spill_ == nullptr) {
-    // Fold mode never allocates the dense O(users) energy arrays or the
-    // O(users x days) day bitmaps (DESIGN.md §15).
+  if (spill_ == nullptr && !shard_) {
+    // Fold mode and shard clones never allocate the dense O(users) energy
+    // arrays or the O(users x days) day bitmaps (DESIGN.md §7).
     for (PerApp& pa : per_app_) {
       pa.joules_by_user.resize(meta.num_users, 0.0);
       pa.joules_touched.resize(meta.num_users, false);
@@ -64,9 +64,10 @@ void CaseStudyAnalysis::on_packet(const trace::PacketRecord& p) {
   PerApp* pa = slot(p.app);
   if (pa == nullptr) return;
   if (p.user != cur_user_) switch_user(p.user);
-  if (spill_ != nullptr) {
-    // Fold mode: the live user accumulates in scalars and one day bitmap;
-    // fold_user spills and clears them after the user bracket.
+  if (spill_ != nullptr || shard_) {
+    // The live user accumulates in scalars and one day bitmap; a merge or
+    // fold_user takes them after the user bracket.
+    live_user_ = p.user;
     pa->live_joules += p.joules;
     pa->live_touched = true;
     pa->bytes += p.bytes;
@@ -107,71 +108,52 @@ void CaseStudyAnalysis::on_user_end(trace::UserId user) {
 void CaseStudyAnalysis::on_study_end() {}
 
 std::unique_ptr<trace::TraceSink> CaseStudyAnalysis::clone_shard() const {
-  return std::make_unique<CaseStudyAnalysis>(apps_);
+  auto shard = std::make_unique<CaseStudyAnalysis>(apps_);
+  shard->shard_ = true;
+  return shard;
 }
 
 void CaseStudyAnalysis::merge_from(trace::TraceSink& shard) {
   auto& other = dynamic_cast<CaseStudyAnalysis&>(shard);
+  const trace::UserId user = other.live_user_;
   for (std::size_t i = 0; i < per_app_.size() && i < other.per_app_.size(); ++i) {
     PerApp& mine = per_app_[i];
-    const PerApp& theirs = other.per_app_[i];
-    if (spill_ != nullptr) {
-      // Fold mode: shards run resident over their one user; stage their rows
-      // until the engine's fold_user call collapses and spills them. The gap
-      // samples land in the parent's (cleared-at-each-fold) distributions.
-      mine.bytes += theirs.bytes;
-      mine.flows += theirs.flows;
-      mine.early_gaps.merge_from(theirs.early_gaps);
-      mine.late_gaps.merge_from(theirs.late_gaps);
-      const std::size_t num_users = std::max<std::size_t>(other.meta_.num_users, 1);
-      const std::size_t days = theirs.active_day.empty()
-                                   ? num_days_
-                                   : std::max<std::size_t>(theirs.active_day.size() / num_users, 1);
-      for (trace::UserId user = 0; user < theirs.joules_by_user.size(); ++user) {
-        if (!theirs.joules_touched[user]) continue;
-        StagedPart part;
-        part.joules = theirs.joules_by_user[user];
-        part.days.assign(days, false);
-        const std::size_t base = static_cast<std::size_t>(user) * days;
-        for (std::size_t d = 0; d < days && base + d < theirs.active_day.size(); ++d) {
-          if (theirs.active_day[base + d]) part.days[d] = true;
-        }
-        mine.staged.emplace_back(user, std::move(part));
-      }
-      continue;
-    }
-    if (theirs.joules_by_user.size() > mine.joules_by_user.size()) {
-      mine.joules_by_user.resize(theirs.joules_by_user.size(), 0.0);
-      mine.joules_touched.resize(theirs.joules_by_user.size(), false);
-    }
-    for (trace::UserId user = 0; user < theirs.joules_by_user.size(); ++user) {
-      if (!theirs.joules_touched[user]) continue;
-      mine.joules_by_user[user] += theirs.joules_by_user[user];
-      mine.joules_touched[user] = true;
-    }
+    PerApp& theirs = other.per_app_[i];
     mine.bytes += theirs.bytes;
     mine.flows += theirs.flows;
-    if (mine.active_day.size() < theirs.active_day.size()) {
-      mine.active_day.resize(theirs.active_day.size());
-    }
-    for (std::size_t d = 0; d < theirs.active_day.size(); ++d) {
-      if (theirs.active_day[d]) mine.active_day[d] = true;
-    }
     mine.early_gaps.merge_from(theirs.early_gaps);
     mine.late_gaps.merge_from(theirs.late_gaps);
+    if (!theirs.live_touched) continue;
+    if (spill_ != nullptr) {
+      // Fold mode: the shard's user becomes the live user the engine's next
+      // fold_user call collapses and spills.
+      mine.live_joules = theirs.live_joules;
+      mine.live_touched = true;
+      mine.live_days = std::move(theirs.live_days);
+      continue;
+    }
+    if (user >= mine.joules_by_user.size()) {
+      mine.joules_by_user.resize(user + 1, 0.0);
+      mine.joules_touched.resize(user + 1, false);
+    }
+    mine.joules_by_user[user] += theirs.live_joules;
+    mine.joules_touched[user] = true;
+    const std::size_t num_users = std::max<std::size_t>(meta_.num_users, 1);
+    const std::size_t num_days = std::max<std::size_t>(mine.active_day.size() / num_users, 1);
+    for (std::size_t d = 0; d < theirs.live_days.size() && d < num_days; ++d) {
+      if (!theirs.live_days[d]) continue;
+      const std::size_t cell = user * num_days + d;
+      if (cell >= mine.active_day.size()) mine.active_day.resize(cell + 1, false);
+      mine.active_day[cell] = true;
+    }
   }
 }
 
-void CaseStudyAnalysis::fold_user(trace::UserId user) {
+void CaseStudyAnalysis::fold_user(trace::UserId /*user*/) {
   if (spill_ == nullptr || hydrated_) return;
-  const auto find_staged = [user](PerApp& pa) {
-    return std::find_if(pa.staged.begin(), pa.staged.end(),
-                        [user](const auto& entry) { return entry.first == user; });
-  };
   std::size_t with_data = 0;
   for (PerApp& pa : per_app_) {
-    if (find_staged(pa) != pa.staged.end() || pa.live_touched || pa.early_gaps.count() > 0 ||
-        pa.late_gaps.count() > 0) {
+    if (pa.live_touched || pa.early_gaps.count() > 0 || pa.late_gaps.count() > 0) {
       ++with_data;
     }
   }
@@ -182,13 +164,9 @@ void CaseStudyAnalysis::fold_user(trace::UserId user) {
   static const std::vector<bool> kNoDays;
   for (std::size_t i = 0; i < per_app_.size(); ++i) {
     PerApp& pa = per_app_[i];
-    auto it = find_staged(pa);
     double joules = 0.0;
     const std::vector<bool>* days = nullptr;
-    if (it != pa.staged.end()) {
-      joules = it->second.joules;
-      days = &it->second.days;
-    } else if (pa.live_touched) {
+    if (pa.live_touched) {
       joules = pa.live_joules;
       days = &pa.live_days;
     } else if (pa.early_gaps.count() == 0 && pa.late_gaps.count() == 0) {
@@ -210,7 +188,6 @@ void CaseStudyAnalysis::fold_user(trace::UserId user) {
     }
     pa.early_gaps.restore_samples({});
     pa.late_gaps.restore_samples({});
-    if (it != pa.staged.end()) pa.staged.erase(it);
     pa.live_joules = 0.0;
     pa.live_touched = false;
     pa.live_days.clear();
@@ -325,7 +302,6 @@ util::Status CaseStudyAnalysis::restore_state(ckpt::ByteReader& in) {
     pa.live_joules = 0.0;
     pa.live_touched = false;
     pa.live_days.clear();
-    pa.staged.clear();
     pa.spill_early.restore_samples({});
     pa.spill_late.restore_samples({});
   }
@@ -411,17 +387,12 @@ CaseStudyResult CaseStudyAnalysis::result(trace::AppId app) {
   for (trace::UserId user = 0; user < pa->joules_by_user.size(); ++user) {
     if (pa->joules_touched[user]) out.joules_total += pa->joules_by_user[user];
   }
-  for (const auto& [user, part] : pa->staged) out.joules_total += part.joules;
   if (pa->live_touched) out.joules_total += pa->live_joules;
   out.bytes_total = pa->bytes;
   out.flows = pa->flows;
   out.days_active = pa->folded_days_active +
                     static_cast<std::uint64_t>(
                         std::count(pa->active_day.begin(), pa->active_day.end(), true));
-  for (const auto& [user, part] : pa->staged) {
-    out.days_active +=
-        static_cast<std::uint64_t>(std::count(part.days.begin(), part.days.end(), true));
-  }
   out.days_active += static_cast<std::uint64_t>(
       std::count(pa->live_days.begin(), pa->live_days.end(), true));
   // Period estimation sorts the gap samples, so replaying the spilled prefix
@@ -443,9 +414,6 @@ obs::MemoryUse CaseStudyAnalysis::memory_use() const {
              (pa.early_gaps.count() + pa.late_gaps.count()) * sizeof(double) +
              (pa.live_days.capacity() + 7) / 8 +
              (pa.spill_early.count() + pa.spill_late.count()) * sizeof(double);
-    for (const auto& [user, part] : pa.staged) {
-      total += sizeof(user) + sizeof(part) + (part.days.capacity() + 7) / 8;
-    }
   }
   return {.resident_bytes = total, .spilled_bytes = spilled_self_};
 }

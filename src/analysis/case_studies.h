@@ -93,11 +93,12 @@ class CaseStudyAnalysis final : public trace::TraceSink,
 
   // -- fold-and-release (DESIGN.md §15) --------------------------------------
   /// Arm fold mode: the dense per-app O(users) energy arrays and
-  /// O(users x days) day bitmaps are not allocated. The live user accumulates
-  /// in per-app scalars and one day bitmap; fold_user() folds them into
-  /// per-app running sums (stream order = ascending user id, bit-identical
-  /// to the ascending query-time folds), spills the user's detail — energy,
-  /// day bits, and flow-gap samples — as a "case" section, and clears it.
+  /// O(users x days) day bitmaps are not allocated. The live user (fed
+  /// directly, or merged from a shard) accumulates in per-app scalars and one
+  /// day bitmap; fold_user() folds them into per-app running sums (stream
+  /// order = ascending user id, bit-identical to the ascending query-time
+  /// folds), spills the user's detail — energy, day bits, and flow-gap
+  /// samples — as a "case" section, and clears it.
   /// result() hydrates the spilled gap samples lazily (period estimation
   /// needs the full sample set; it sorts, so replay order cannot matter).
   void set_account_spill(energy::AccountSpill* spill) { spill_ = spill; }
@@ -111,11 +112,6 @@ class CaseStudyAnalysis final : public trace::TraceSink,
   [[nodiscard]] obs::MemoryUse memory_use() const override;
 
  private:
-  /// One merged shard row awaiting its fold_user call (sharded fold mode).
-  struct StagedPart {
-    double joules = 0.0;
-    std::vector<bool> days;
-  };
   struct PerApp {
     std::vector<double> joules_by_user;  ///< dense by UserId
     std::vector<bool> joules_touched;    ///< user has an energy partial
@@ -129,7 +125,7 @@ class CaseStudyAnalysis final : public trace::TraceSink,
     /// user-bracketed, so one anchor per app suffices).
     TimePoint last_flow_start;
     bool has_last_flow = false;
-    // Fold-and-release state (unused outside fold mode). In fold mode
+    // The live user (fold mode and shard clones). In fold mode
     // early_gaps/late_gaps hold only the not-yet-folded samples.
     double live_joules = 0.0;
     bool live_touched = false;
@@ -140,8 +136,6 @@ class CaseStudyAnalysis final : public trace::TraceSink,
     /// resident early_gaps/late_gaps tail merges after).
     Distribution spill_early;
     Distribution spill_late;
-    /// Merged shard rows awaiting their fold_user call (sharded fold mode).
-    std::vector<std::pair<trace::UserId, StagedPart>> staged;
   };
   static constexpr std::uint32_t kUntracked = UINT32_MAX;
   static constexpr trace::UserId kNoUser = UINT32_MAX;
@@ -164,6 +158,11 @@ class CaseStudyAnalysis final : public trace::TraceSink,
   trace::UserId cur_user_ = kNoUser;
   std::vector<PerApp> per_app_;  ///< one slot per tracked app, in apps_ order
   trace::FlowAssembler assembler_;
+
+  /// Made by clone_shard(): holds its one user in the live fields, so its
+  /// footprint does not depend on the population.
+  bool shard_ = false;
+  trace::UserId live_user_ = kNoUser;  ///< owner of the live fields
 
   // Fold-and-release state (zero outside fold mode).
   energy::AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine

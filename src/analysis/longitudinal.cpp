@@ -37,13 +37,12 @@ void LongitudinalAnalysis::on_study_begin(const trace::StudyMeta& meta) {
   num_days_ = static_cast<std::int64_t>(std::ceil(meta.span().days()));
   num_weeks_ = std::max<std::size_t>(static_cast<std::size_t>((num_days_ + 6) / 7), 1);
   users_.clear();
-  // Fold mode never allocates the dense per-user partial array: the live
-  // user accumulates in live_ and folds release it (DESIGN.md §15).
-  if (spill_ == nullptr) users_.resize(meta.num_users);
+  // Fold mode and shard clones never allocate the dense per-user partial
+  // array: the live user accumulates in live_ (DESIGN.md §7).
+  if (spill_ == nullptr && !shard_) users_.resize(meta.num_users);
   cur_ = nullptr;
   spilled_self_ = 0;
   live_valid_ = false;
-  staged_.clear();
   folded_fg_weeks_.assign(num_weeks_, 0.0);
   folded_bg_weeks_.assign(num_weeks_, 0.0);
   folded_eras_.assign(tracked_.size(), EraAccum{});
@@ -51,7 +50,7 @@ void LongitudinalAnalysis::on_study_begin(const trace::StudyMeta& meta) {
 }
 
 LongitudinalAnalysis::UserPart& LongitudinalAnalysis::user_part(trace::UserId user) {
-  if (spill_ != nullptr) {
+  if (spill_ != nullptr || shard_) {
     if (!live_valid_ || live_user_ != user) {
       live_.fg_weeks.assign(num_weeks_, 0.0);
       live_.bg_weeks.assign(num_weeks_, 0.0);
@@ -131,27 +130,25 @@ void LongitudinalAnalysis::on_batch(const trace::EventBatch& batch) {
 }
 
 std::unique_ptr<trace::TraceSink> LongitudinalAnalysis::clone_shard() const {
-  return std::make_unique<LongitudinalAnalysis>(tracked_);
+  auto shard = std::make_unique<LongitudinalAnalysis>(tracked_);
+  shard->shard_ = true;
+  return shard;
 }
 
 void LongitudinalAnalysis::merge_from(trace::TraceSink& shard) {
   auto& other = dynamic_cast<LongitudinalAnalysis&>(shard);
-  if (spill_ != nullptr) {
-    // Fold mode: stage the shard's rows until the engine's fold_user call
-    // collapses and spills them (shards run resident over their one user).
-    for (std::size_t user = 0; user < other.users_.size(); ++user) {
-      if (!other.users_[user]) continue;
-      staged_.emplace_back(static_cast<trace::UserId>(user), std::move(*other.users_[user]));
-      other.users_[user].reset();
+  if (other.live_valid_) {
+    if (spill_ != nullptr) {
+      // Fold mode: the shard's user becomes the live user the engine's next
+      // fold_user call collapses and spills.
+      live_ = std::move(other.live_);
+      live_user_ = other.live_user_;
+      live_valid_ = true;
+    } else {
+      if (other.live_user_ >= users_.size()) users_.resize(other.live_user_ + 1);
+      users_[other.live_user_] = std::make_unique<UserPart>(std::move(other.live_));
     }
-    cur_ = nullptr;
-    other.cur_ = nullptr;
-    dirty_ = true;
-    return;
-  }
-  if (other.users_.size() > users_.size()) users_.resize(other.users_.size());
-  for (std::size_t user = 0; user < other.users_.size(); ++user) {
-    if (other.users_[user]) users_[user] = std::move(other.users_[user]);
+    other.live_valid_ = false;
   }
   cur_ = nullptr;
   other.cur_ = nullptr;
@@ -159,17 +156,8 @@ void LongitudinalAnalysis::merge_from(trace::TraceSink& shard) {
 }
 
 void LongitudinalAnalysis::fold_user(trace::UserId user) {
-  if (spill_ == nullptr) return;
-  UserPart* part = nullptr;
-  auto staged_it = staged_.end();
-  if (live_valid_ && live_user_ == user) {
-    part = &live_;
-  } else {
-    staged_it = std::find_if(staged_.begin(), staged_.end(),
-                             [user](const auto& entry) { return entry.first == user; });
-    if (staged_it != staged_.end()) part = &staged_it->second;
-  }
-  if (part == nullptr) return;  // the user had no traffic for this sink
+  if (spill_ == nullptr || !live_valid_ || live_user_ != user) return;
+  const UserPart* part = &live_;
   // Stream order is ascending user id, so these running sums reproduce the
   // ascending query-time fold bit for bit.
   for (std::size_t w = 0; w < num_weeks_; ++w) {
@@ -193,11 +181,7 @@ void LongitudinalAnalysis::fold_user(trace::UserId user) {
     row.put_varint(era.late_bytes);
   }
   spilled_self_ += spill_->add_section(kLongitSection, row.bytes());
-  if (staged_it != staged_.end()) {
-    staged_.erase(staged_it);
-  } else {
-    live_valid_ = false;
-  }
+  live_valid_ = false;
   cur_ = nullptr;
   dirty_ = true;
 }
@@ -243,7 +227,6 @@ util::Status LongitudinalAnalysis::restore_state(ckpt::ByteReader& in) {
   }
   spilled_self_ = 0;
   live_valid_ = false;
-  staged_.clear();
   folded_fg_weeks_.assign(num_weeks_, 0.0);
   folded_bg_weeks_.assign(num_weeks_, 0.0);
   folded_eras_.assign(tracked_.size(), EraAccum{});
@@ -344,7 +327,6 @@ void LongitudinalAnalysis::fold() const {
   for (const auto& part : users_) {
     if (part) add_part(*part);
   }
-  for (const auto& [user, part] : staged_) add_part(part);
   if (live_valid_) add_part(live_);
   dirty_ = false;
 }
@@ -386,7 +368,6 @@ obs::MemoryUse LongitudinalAnalysis::memory_use() const {
   for (const auto& part : users_) {
     if (part) total += part_bytes(*part);
   }
-  for (const auto& [user, part] : staged_) total += sizeof(user) + part_bytes(part);
   return {.resident_bytes = total, .spilled_bytes = spilled_self_};
 }
 

@@ -12,9 +12,8 @@
 // Shardable (trace/shardable.h): the weekly series and era accumulators are
 // cross-user double sums, so they are kept as per-user partials — one dense
 // week vector and era array per user — and folded in user-id order when
-// queried. The serial pass and the sharded merge therefore perform the exact
-// same floating-point fold, and outputs are bit-identical at any thread
-// count (DESIGN.md §12).
+// queried. Every thread count therefore performs the exact same
+// floating-point fold, and outputs are bit-identical (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -80,8 +79,8 @@ class LongitudinalAnalysis final : public trace::TraceSink,
 
   // -- fold-and-release (DESIGN.md §15) --------------------------------------
   /// Arm fold mode: the dense per-user partial array is not allocated. The
-  /// live user accumulates in one UserPart; merged shard rows stage in a
-  /// small buffer; fold_user() folds the completed user's partial into
+  /// live user (fed directly, or merged from a shard) accumulates in one
+  /// UserPart; fold_user() folds the completed user's partial into
   /// running week/era accumulators (stream order = ascending user id,
   /// bit-identical to the ascending query-time folds), spills it as a
   /// "longit" section, and releases it.
@@ -132,11 +131,12 @@ class LongitudinalAnalysis final : public trace::TraceSink,
   // Fold-and-release state (all empty/zero outside fold mode).
   energy::AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine
   std::uint64_t spilled_self_ = 0;
-  UserPart live_;  ///< the live user's partial (serial fold mode)
+  UserPart live_;  ///< the live user's partial (fold mode, shard clones)
   trace::UserId live_user_ = 0;
   bool live_valid_ = false;
-  /// Merged shard rows awaiting their fold_user call (sharded fold mode).
-  std::vector<std::pair<trace::UserId, UserPart>> staged_;
+  /// Made by clone_shard(): holds its one user in live_, so its footprint
+  /// does not depend on the population.
+  bool shard_ = false;
   /// Running week/era sums over folded users (stream = ascending user order).
   std::vector<double> folded_fg_weeks_;
   std::vector<double> folded_bg_weeks_;

@@ -22,9 +22,9 @@ WastedUpdateAnalysis::WastedUpdateAnalysis(std::vector<trace::AppId> apps, Durat
 void WastedUpdateAnalysis::on_study_begin(const trace::StudyMeta& meta) {
   cur_user_ = kNoUser;
   per_app_.assign(apps_.size(), PerApp{});
-  if (spill_ == nullptr) {
-    // Fold mode never allocates the dense O(apps x users) partial arrays —
-    // that is the entire point of the lifecycle (DESIGN.md §15).
+  if (spill_ == nullptr && !shard_) {
+    // Fold mode and shard clones never allocate the dense O(apps x users)
+    // partial arrays — that is the entire point of the lifecycle.
     for (PerApp& pa : per_app_) pa.user_parts.resize(meta.num_users);
   }
   spilled_self_ = 0;
@@ -39,9 +39,10 @@ WastedUpdateAnalysis::PerApp* WastedUpdateAnalysis::slot(trace::AppId app) {
 }
 
 WastedUpdateAnalysis::UserPart& WastedUpdateAnalysis::part(PerApp& pa, trace::UserId user) {
-  if (spill_ != nullptr) {
+  if (spill_ != nullptr || shard_) {
     // Stream callbacks only ever touch the live user (the stream is
-    // user-bracketed and fold_user cleared the previous one).
+    // user-bracketed, and a shard or fold_user holds one user at a time).
+    live_user_ = user;
     pa.live.touched = true;
     return pa.live;
   }
@@ -129,7 +130,9 @@ void WastedUpdateAnalysis::settle_on_foreground(trace::AppId app, trace::UserId 
 }
 
 std::unique_ptr<trace::TraceSink> WastedUpdateAnalysis::clone_shard() const {
-  return std::make_unique<WastedUpdateAnalysis>(apps_, useful_window_);
+  auto shard = std::make_unique<WastedUpdateAnalysis>(apps_, useful_window_);
+  shard->shard_ = true;
+  return shard;
 }
 
 void WastedUpdateAnalysis::merge_from(trace::TraceSink& shard) {
@@ -139,31 +142,24 @@ void WastedUpdateAnalysis::merge_from(trace::TraceSink& shard) {
     const PerApp& theirs = other.per_app_[i];
     mine.updates += theirs.updates;
     mine.wasted_updates += theirs.wasted_updates;
-    for (trace::UserId user = 0; user < theirs.user_parts.size(); ++user) {
-      const UserPart& up = theirs.user_parts[user];
-      if (!up.touched) continue;
-      if (spill_ != nullptr) {
-        // Fold mode: keep the shard's rows staged until the engine's
-        // fold_user call collapses and spills them.
-        mine.staged.emplace_back(user, up);
-        continue;
-      }
-      UserPart& target = part(mine, user);
-      target.joules += up.joules;
-      target.wasted_joules += up.wasted_joules;
+    if (!theirs.live.touched) continue;
+    if (spill_ != nullptr) {
+      // Fold mode: the shard's user becomes the live user the engine's
+      // next fold_user call collapses and spills.
+      mine.live = theirs.live;
+      continue;
     }
+    UserPart& target = part(mine, other.live_user_);
+    target.joules += theirs.live.joules;
+    target.wasted_joules += theirs.live.wasted_joules;
   }
 }
 
-void WastedUpdateAnalysis::fold_user(trace::UserId user) {
+void WastedUpdateAnalysis::fold_user(trace::UserId /*user*/) {
   if (spill_ == nullptr) return;
-  const auto find_staged = [user](PerApp& pa) {
-    return std::find_if(pa.staged.begin(), pa.staged.end(),
-                        [user](const auto& entry) { return entry.first == user; });
-  };
   std::size_t with_parts = 0;
-  for (PerApp& pa : per_app_) {
-    if (find_staged(pa) != pa.staged.end() || pa.live.touched) ++with_parts;
+  for (const PerApp& pa : per_app_) {
+    if (pa.live.touched) ++with_parts;
   }
   if (with_parts == 0) return;
   ckpt::ByteWriter row;
@@ -171,27 +167,16 @@ void WastedUpdateAnalysis::fold_user(trace::UserId user) {
   std::size_t prev_slot = 0;
   for (std::size_t i = 0; i < per_app_.size(); ++i) {
     PerApp& pa = per_app_[i];
-    auto it = find_staged(pa);
-    UserPart* up = nullptr;
-    if (it != pa.staged.end()) {
-      up = &it->second;
-    } else if (pa.live.touched) {
-      up = &pa.live;
-    }
-    if (up == nullptr) continue;
+    if (!pa.live.touched) continue;
     row.put_varint(i - prev_slot);  // slot-ascending delta; the first is absolute
     prev_slot = i;
-    row.put_f64(up->joules);
-    row.put_f64(up->wasted_joules);
+    row.put_f64(pa.live.joules);
+    row.put_f64(pa.live.wasted_joules);
     // Stream order is ascending user id, so these running sums reproduce the
     // ascending query-time fold bit for bit.
-    pa.folded_joules += up->joules;
-    pa.folded_wasted_joules += up->wasted_joules;
-    if (it != pa.staged.end()) {
-      pa.staged.erase(it);
-    } else {
-      pa.live = UserPart{};
-    }
+    pa.folded_joules += pa.live.joules;
+    pa.folded_wasted_joules += pa.live.wasted_joules;
+    pa.live = UserPart{};
   }
   spilled_self_ += spill_->add_section(kWasteSection, row.bytes());
 }
@@ -233,7 +218,6 @@ util::Status WastedUpdateAnalysis::restore_state(ckpt::ByteReader& in) {
     pa.folded_joules = 0.0;
     pa.folded_wasted_joules = 0.0;
     pa.live = UserPart{};
-    pa.staged.clear();
   }
   if (*mode == 1) {
     for (PerApp& pa : per_app_) {
@@ -301,10 +285,6 @@ WasteResult WastedUpdateAnalysis::result(trace::AppId app) const {
     out.joules += up.joules;
     out.wasted_joules += up.wasted_joules;
   }
-  for (const auto& [user, up] : pa.staged) {
-    out.joules += up.joules;
-    out.wasted_joules += up.wasted_joules;
-  }
   if (pa.live.touched) {
     out.joules += pa.live.joules;
     out.wasted_joules += pa.live.wasted_joules;
@@ -316,8 +296,7 @@ obs::MemoryUse WastedUpdateAnalysis::memory_use() const {
   std::uint64_t total = tracked_index_.capacity() * sizeof(std::uint32_t);
   for (const PerApp& pa : per_app_) {
     total += pa.user_parts.capacity() * sizeof(UserPart) +
-             pa.pending.size() * sizeof(PendingUpdate) +
-             pa.staged.capacity() * sizeof(pa.staged[0]);
+             pa.pending.size() * sizeof(PendingUpdate);
   }
   return {.resident_bytes = total, .spilled_bytes = spilled_self_};
 }

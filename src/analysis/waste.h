@@ -78,8 +78,8 @@ class WastedUpdateAnalysis final : public trace::TraceSink,
   // -- fold-and-release (DESIGN.md §15) --------------------------------------
   /// Arm fold mode: the dense per-app user_parts arrays are not allocated
   /// (they are O(apps x users), the sink's entire footprint). The live user
-  /// accumulates in one part per app; merged shard rows stage in a small
-  /// buffer; fold_user() folds the completed user's parts into per-app
+  /// (fed directly, or merged from a shard) accumulates in one part per
+  /// app; fold_user() folds the completed user's parts into per-app
   /// running sums (stream order = ascending user id, bit-identical to the
   /// ascending query-time folds), spills them as a "waste" section, and
   /// clears them.
@@ -112,10 +112,8 @@ class WastedUpdateAnalysis final : public trace::TraceSink,
     std::vector<UserPart> user_parts;  ///< dense by UserId (resident mode only)
     /// Current user's not-yet-settled updates (one user is live at a time).
     std::deque<PendingUpdate> pending;
+    UserPart live;  ///< the live user's partial (fold mode, shard clones)
     // Fold-and-release state (unused outside fold mode).
-    UserPart live;  ///< the live user's partial (serial fold mode)
-    /// Merged shard rows awaiting their fold_user call (sharded fold mode).
-    std::vector<std::pair<trace::UserId, UserPart>> staged;
     double folded_joules = 0.0;
     double folded_wasted_joules = 0.0;
   };
@@ -138,6 +136,11 @@ class WastedUpdateAnalysis final : public trace::TraceSink,
   trace::UserId cur_user_ = kNoUser;
   std::vector<PerApp> per_app_;  ///< one slot per tracked app, in apps_ order
   trace::FlowAssembler assembler_;
+
+  /// Made by clone_shard(): holds its one user in the live parts, so its
+  /// footprint does not depend on the population.
+  bool shard_ = false;
+  trace::UserId live_user_ = kNoUser;  ///< owner of the live parts
 
   // Fold-and-release state (zero outside fold mode).
   energy::AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine

@@ -1,7 +1,7 @@
 // Checkpoint snapshots: versioned, checksummed, atomically-written state of
 // a run in progress (DESIGN.md §13).
 //
-// A Snapshot is the generic payload both engines share: the StudyMeta it was
+// A Snapshot is the generic payload the engine writes: the StudyMeta it was
 // taken under (stale detection), per-user completion progress, named u64
 // counters (RunStats partials, radio counters, sweep progress), and named
 // per-sink sections holding each CheckpointableSink's serialized state.

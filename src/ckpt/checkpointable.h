@@ -24,7 +24,7 @@ class CheckpointableSink {
   virtual ~CheckpointableSink() = default;
 
   /// Serialize the cross-user merge state. Must be callable on a parent sink
-  /// between user merges (i.e. at an epoch boundary).
+  /// between user merges (i.e. at the engine's merge point).
   virtual void save_state(ByteWriter& out) const = 0;
 
   /// Rebuild the state written by save_state(). Called after on_study_begin

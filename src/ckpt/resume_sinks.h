@@ -1,14 +1,17 @@
-// Resume decorators for serial (forward-only) streams.
+// Resume decorators for forward-only streams outside the execution engine.
 //
-// The sharded engine resumes by dropping completed users from its work list
-// before building shards. Serial sources — CSV/binary files fed through
-// `analyze`, or the serial pipeline path — replay every user in order, so
-// resuming needs stream-level surgery instead: UserSkipFilter swallows the
-// brackets of users a checkpoint already covers, and CheckpointingSink counts
-// the users that do complete and fires a snapshot callback every N of them.
-// Stacked as source -> UserSkipFilter -> CheckpointingSink -> real sinks, the
-// pair makes a killed-and-resumed serial run fold the exact event stream an
-// uninterrupted run would have seen.
+// StudyPipeline and SweepEngine checkpoint and resume at the engine's merge
+// point (core/engine.h) and do not use these. They serve the CLI `analyze`
+// command, which stays on its own sink chain because it attributes both
+// interfaces (the pipeline's InterfaceFilter would change its output), and
+// the spilling store's capture resume, which skips users its sealed
+// segments already hold. A forward-only source replays every user in order,
+// so resuming needs stream-level surgery: UserSkipFilter swallows the
+// brackets of users a checkpoint already covers, and CheckpointingSink
+// counts the users that do complete and fires a snapshot callback every N of
+// them. Stacked as source -> UserSkipFilter -> CheckpointingSink -> real
+// sinks, the pair makes a killed-and-resumed run fold the exact event stream
+// an uninterrupted run would have seen.
 #pragma once
 
 #include <algorithm>

@@ -59,7 +59,7 @@ class AccountFileWriter {
   AccountFileWriter();
 
   /// Open a row group for `user`. Groups must arrive in ascending user order
-  /// (the engines fold in stream order, which is ascending user id).
+  /// (the engine folds in stream order, which is ascending user id).
   void begin_user(trace::UserId user);
   /// Append one named section to the open group; returns the payload bytes
   /// appended (the caller's spill accounting). Section names are interned —

@@ -33,21 +33,26 @@ EnergyAttributor::EnergyAttributor(RadioModelFactory factory, trace::TraceSink* 
   assert(downstream_ != nullptr);
 }
 
+std::unique_ptr<EnergyAttributor> EnergyAttributor::clone_shard(
+    trace::TraceSink* downstream) const {
+  auto shard = std::make_unique<EnergyAttributor>(factory_, downstream, policy_);
+  shard->shard_ = true;
+  return shard;
+}
+
 void EnergyAttributor::on_study_begin(const trace::StudyMeta& meta) {
   meta_ = meta;
-  if (spill_ == nullptr) {
+  if (spill_ == nullptr && !shard_) {
     per_user_.assign(meta.num_users, UserEnergy{});
     user_touched_.assign(meta.num_users, false);
   } else {
-    // Fold mode never allocates the dense per-user array: one live slot
-    // (serial) or a small staging buffer (sharded merges) is the whole
-    // per-user footprint.
+    // Fold mode and shard clones never allocate the dense per-user array:
+    // one live slot is the whole per-user footprint.
     per_user_.clear();
     user_touched_.clear();
   }
   folded_ = UserEnergy{};
   live_valid_ = false;
-  staged_.clear();
   spilled_self_ = 0;
   current_ = nullptr;
   counters_ = {};
@@ -58,7 +63,7 @@ void EnergyAttributor::on_user_begin(trace::UserId user) {
   ++counters_.users;
   model_ = factory_();
   burst_ = dynamic_cast<radio::BurstMachine*>(model_.get());
-  if (spill_ != nullptr) {
+  if (spill_ != nullptr || shard_) {
     live_ = UserEnergy{};
     live_user_ = user;
     live_valid_ = true;
@@ -274,7 +279,6 @@ double EnergyAttributor::device_joules() const {
   for (std::size_t user = 0; user < per_user_.size(); ++user) {
     if (user_touched_[user]) total += per_user_[user].device;
   }
-  for (const auto& [user, e] : staged_) total += e.device;
   if (live_valid_) total += live_.device;
   return total;
 }
@@ -284,7 +288,6 @@ double EnergyAttributor::attributed_joules() const {
   for (std::size_t user = 0; user < per_user_.size(); ++user) {
     if (user_touched_[user]) total += per_user_[user].attributed;
   }
-  for (const auto& [user, e] : staged_) total += e.attributed;
   if (live_valid_) total += live_.attributed;
   return total;
 }
@@ -294,7 +297,6 @@ double EnergyAttributor::baseline_joules() const {
   for (std::size_t user = 0; user < per_user_.size(); ++user) {
     if (user_touched_[user]) total += per_user_[user].baseline;
   }
-  for (const auto& [user, e] : staged_) total += e.baseline;
   if (live_valid_) total += live_.baseline;
   return total;
 }
@@ -304,7 +306,6 @@ double EnergyAttributor::tail_joules() const {
   for (std::size_t user = 0; user < per_user_.size(); ++user) {
     if (user_touched_[user]) total += per_user_[user].tail;
   }
-  for (const auto& [user, e] : staged_) total += e.tail;
   if (live_valid_) total += live_.tail;
   return total;
 }
@@ -314,7 +315,6 @@ double EnergyAttributor::promotion_joules() const {
   for (std::size_t user = 0; user < per_user_.size(); ++user) {
     if (user_touched_[user]) total += per_user_[user].promotion;
   }
-  for (const auto& [user, e] : staged_) total += e.promotion;
   if (live_valid_) total += live_.promotion;
   return total;
 }
@@ -324,7 +324,6 @@ double EnergyAttributor::transfer_joules() const {
   for (std::size_t user = 0; user < per_user_.size(); ++user) {
     if (user_touched_[user]) total += per_user_[user].transfer;
   }
-  for (const auto& [user, e] : staged_) total += e.transfer;
   if (live_valid_) total += live_.transfer;
   return total;
 }
@@ -332,17 +331,8 @@ double EnergyAttributor::transfer_joules() const {
 // --- fold-and-release ------------------------------------------------------
 
 void EnergyAttributor::fold_user(trace::UserId user) {
-  if (spill_ == nullptr) return;
-  const UserEnergy* row = nullptr;
-  auto staged_it = staged_.end();
-  if (live_valid_ && live_user_ == user) {
-    row = &live_;
-  } else {
-    staged_it = std::find_if(staged_.begin(), staged_.end(),
-                             [user](const auto& entry) { return entry.first == user; });
-    if (staged_it != staged_.end()) row = &staged_it->second;
-  }
-  if (row == nullptr) return;  // user never began a bracket here
+  if (spill_ == nullptr || !live_valid_ || live_user_ != user) return;
+  const UserEnergy* row = &live_;
   // Folds arrive in stream order (ascending user id): the same addition
   // sequence the query-time loops perform over a dense resident array.
   folded_.device += row->device;
@@ -359,12 +349,8 @@ void EnergyAttributor::fold_user(trace::UserId user) {
   out.put_f64(row->promotion);
   out.put_f64(row->transfer);
   spilled_self_ += spill_->add_section("attrib", out.bytes());
-  if (staged_it != staged_.end()) {
-    staged_.erase(staged_it);
-  } else {
-    live_valid_ = false;
-    current_ = nullptr;
-  }
+  live_valid_ = false;
+  current_ = nullptr;
 }
 
 util::Status EnergyAttributor::decode_user_energy(std::string_view payload, UserEnergy& out) {
@@ -384,8 +370,7 @@ util::Status EnergyAttributor::decode_user_energy(std::string_view payload, User
 
 obs::MemoryUse EnergyAttributor::memory_use() const {
   return {.resident_bytes = per_user_.capacity() * sizeof(UserEnergy) +
-                            user_touched_.capacity() / 8 +
-                            staged_.capacity() * sizeof(staged_[0]),
+                            user_touched_.capacity() / 8,
           .spilled_bytes = spilled_self_};
 }
 
@@ -433,7 +418,6 @@ util::Status EnergyAttributor::restore_state(ckpt::ByteReader& in) {
   folded_ = UserEnergy{};
   spilled_self_ = 0;
   live_valid_ = false;
-  staged_.clear();
   if (*mode == 1) {
     for (double* field : {&folded_.device, &folded_.attributed, &folded_.baseline, &folded_.tail,
                           &folded_.promotion, &folded_.transfer}) {
@@ -481,28 +465,26 @@ util::Status EnergyAttributor::restore_state(ckpt::ByteReader& in) {
 }
 
 void EnergyAttributor::merge_from(const EnergyAttributor& shard) {
-  if (spill_ != nullptr) {
-    // Fold mode: stage the shard's rows (one touched user per shard chain)
-    // until the engine's fold_user call collapses and spills them — the
-    // parent never grows a dense per-user array.
-    for (std::size_t user = 0; user < shard.per_user_.size(); ++user) {
-      if (!shard.user_touched_[user]) continue;
-      staged_.emplace_back(static_cast<trace::UserId>(user), shard.per_user_[user]);
-    }
-    counters_.merge_from(shard.counters_);
+  counters_.merge_from(shard.counters_);
+  if (shard.live_valid_ && spill_ != nullptr) {
+    live_ = shard.live_;
+    live_user_ = shard.live_user_;
+    live_valid_ = true;
     return;
   }
-  if (shard.per_user_.size() > per_user_.size()) {
-    per_user_.resize(shard.per_user_.size());
-    user_touched_.resize(shard.per_user_.size(), false);
-  }
-  for (std::size_t user = 0; user < shard.per_user_.size(); ++user) {
-    if (!shard.user_touched_[user]) continue;
+  const auto place = [this](std::size_t user, const UserEnergy& energy) {
+    if (user >= per_user_.size()) {
+      per_user_.resize(user + 1);
+      user_touched_.resize(user + 1, false);
+    }
     assert(!user_touched_[user]);
-    per_user_[user] = shard.per_user_[user];
+    per_user_[user] = energy;
     user_touched_[user] = true;
+  };
+  if (shard.live_valid_) place(shard.live_user_, shard.live_);
+  for (std::size_t user = 0; user < shard.per_user_.size(); ++user) {
+    if (shard.user_touched_[user]) place(user, shard.per_user_[user]);
   }
-  counters_.merge_from(shard.counters_);
 }
 
 }  // namespace wildenergy::energy

@@ -138,14 +138,21 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   /// Event counters for this run (reset on each study begin).
   [[nodiscard]] const AttributionCounters& counters() const { return counters_; }
 
-  /// Fold a shard attributor's per-user energy and counters into this one
-  /// (called by the pipeline in user-id order; users must be disjoint).
+  /// A fresh attributor with this one's radio factory and tail policy,
+  /// streaming into `downstream`, for one user's shard. It holds only the
+  /// user it is fed, so its footprint does not depend on the population.
+  [[nodiscard]] std::unique_ptr<EnergyAttributor> clone_shard(trace::TraceSink* downstream) const;
+
+  /// Fold another attributor's per-user energy and counters into this one
+  /// (called by the engine in user-id order; users must be disjoint). A
+  /// clone_shard() shard lands at its user's id, or — in fold mode — as the
+  /// live row the engine's next fold_user call collapses.
   void merge_from(const EnergyAttributor& shard);
 
   // -- fold-and-release (DESIGN.md §15) -------------------------------------
   /// Arm fold mode: the dense per-user partial array is not allocated at
-  /// all. Serial runs accumulate into a single live slot; sharded runs stage
-  /// merged rows in a small buffer. fold_user() then folds the completed
+  /// all. The live user (fed directly, or merged from a shard) sits in a
+  /// single slot. fold_user() then folds the completed
   /// user's partials into the study-wide accumulators (in stream order —
   /// bit-identical to the ascending query-time folds), spills them as an
   /// "attrib" row-group section, and drops the row.
@@ -214,11 +221,10 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine
   std::uint64_t spilled_self_ = 0;
   UserEnergy folded_;              ///< study-wide fold over released users
-  UserEnergy live_;                ///< serial fold-mode accumulator
+  UserEnergy live_;  ///< the live user's partials (fold mode, shard clones)
   trace::UserId live_user_ = 0;
   bool live_valid_ = false;
-  /// Sharded fold mode: merged rows awaiting their fold_user call.
-  std::vector<std::pair<trace::UserId, UserEnergy>> staged_;
+  bool shard_ = false;  ///< made by clone_shard(): holds one user, in live_
 
   // Hoisted sink adapters (building a std::function per packet was a
   // measurable per-record cost) and reused batch-path scratch state.

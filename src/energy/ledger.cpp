@@ -17,6 +17,8 @@ EnergyLedger& EnergyLedger::operator=(const EnergyLedger& other) {
   num_days_ = other.num_days_;
   num_apps_hint_ = other.num_apps_hint_;
   num_accounts_ = other.num_accounts_;
+  shard_ = other.shard_;
+  base_ = other.base_;
   users_.clear();
   users_.resize(other.users_.size());
   for (std::size_t user = 0; user < other.users_.size(); ++user) {
@@ -37,7 +39,7 @@ void EnergyLedger::on_study_begin(const trace::StudyMeta& meta) {
   num_apps_hint_ = meta.num_apps;
   num_accounts_ = 0;
   users_.clear();
-  users_.resize(meta.num_users);
+  if (!shard_) users_.resize(meta.num_users);
   spilled_self_ = 0;
   folded_accounts_ = 0;
   folded_totals_ = UserTotals{};
@@ -46,8 +48,10 @@ void EnergyLedger::on_study_begin(const trace::StudyMeta& meta) {
 }
 
 EnergyLedger::UserState& EnergyLedger::user_state(trace::UserId user) {
-  if (user >= users_.size()) users_.resize(user + 1);
-  auto& slot = users_[user];
+  if (shard_ && users_.empty()) base_ = user;
+  const std::size_t index = user - base_;
+  if (index >= users_.size()) users_.resize(index + 1);
+  auto& slot = users_[index];
   if (!slot) {
     slot = std::make_unique<UserState>();
     slot->apps.resize(num_apps_hint_);
@@ -126,27 +130,31 @@ void EnergyLedger::on_batch(const trace::EventBatch& batch) {
 }
 
 std::unique_ptr<trace::TraceSink> EnergyLedger::clone_shard() const {
-  return std::make_unique<EnergyLedger>();
+  auto shard = std::make_unique<EnergyLedger>();
+  shard->shard_ = true;
+  return shard;
 }
 
 void EnergyLedger::merge_from(trace::TraceSink& shard) {
   auto& other = dynamic_cast<EnergyLedger&>(shard);
-  if (other.users_.size() > users_.size()) users_.resize(other.users_.size());
-  for (std::size_t user = 0; user < other.users_.size(); ++user) {
-    if (!other.users_[user]) continue;
-    assert(!users_[user]);
-    users_[user] = std::move(other.users_[user]);
+  const std::size_t end = other.base_ + other.users_.size();
+  if (end > users_.size()) users_.resize(end);
+  for (std::size_t index = 0; index < other.users_.size(); ++index) {
+    if (!other.users_[index]) continue;
+    assert(!users_[other.base_ + index]);
+    users_[other.base_ + index] = std::move(other.users_[index]);
   }
   num_accounts_ += other.num_accounts_;
   other.num_accounts_ = 0;
 }
 
 void EnergyLedger::merge(const EnergyLedger& shard) {
-  if (shard.users_.size() > users_.size()) users_.resize(shard.users_.size());
-  for (std::size_t user = 0; user < shard.users_.size(); ++user) {
-    if (!shard.users_[user]) continue;
-    assert(!users_[user]);
-    users_[user] = std::make_unique<UserState>(*shard.users_[user]);
+  const std::size_t end = shard.base_ + shard.users_.size();
+  if (end > users_.size()) users_.resize(end);
+  for (std::size_t index = 0; index < shard.users_.size(); ++index) {
+    if (!shard.users_[index]) continue;
+    assert(!users_[shard.base_ + index]);
+    users_[shard.base_ + index] = std::make_unique<UserState>(*shard.users_[index]);
   }
   num_accounts_ += shard.num_accounts_;
 }
@@ -204,8 +212,9 @@ void EnergyLedger::encode_slab(const UserState& state, ckpt::ByteWriter& out) co
 
 void EnergyLedger::fold_user(trace::UserId user) {
   if (spill_ == nullptr) return;
-  if (user >= users_.size() || !users_[user]) return;  // no traffic: nothing held
-  const UserState& state = *users_[user];
+  const UserState* held = slab(user);
+  if (held == nullptr) return;  // no traffic: nothing held
+  const UserState& state = *held;
   // Folds run in stream order (ascending user id), so these additions are
   // the exact sequence an all-resident query-time fold performs.
   fold_slab_totals(state);
@@ -213,7 +222,7 @@ void EnergyLedger::fold_user(trace::UserId user) {
   ckpt::ByteWriter row;
   encode_slab(state, row);
   spilled_self_ += spill_->add_section("ledger", row.bytes());
-  users_[user].reset();
+  users_[user - base_].reset();
 }
 
 void EnergyLedger::save_state(ckpt::ByteWriter& out) const {
@@ -420,9 +429,15 @@ util::Status EnergyLedger::restore_state(ckpt::ByteReader& in) {
   return util::Status::ok_status();
 }
 
+const EnergyLedger::UserState* EnergyLedger::slab(trace::UserId user) const {
+  const std::size_t index = user - base_;
+  return user >= base_ && index < users_.size() ? users_[index].get() : nullptr;
+}
+
 const AppUserAccount* EnergyLedger::find(trace::UserId user, trace::AppId app) const {
-  if (user >= users_.size() || !users_[user]) return nullptr;
-  const UserState& state = *users_[user];
+  const UserState* held = slab(user);
+  if (held == nullptr) return nullptr;
+  const UserState& state = *held;
   if (app >= state.apps.size() || state.apps[app].packets == 0) return nullptr;
   return &state.apps[app];
 }
@@ -431,7 +446,7 @@ std::vector<trace::UserId> EnergyLedger::users() const {
   std::vector<trace::UserId> out(folded_users_.begin(), folded_users_.end());
   for (std::size_t user = 0; user < users_.size(); ++user) {
     if (users_[user] && users_[user]->totals.packets != 0) {
-      out.push_back(static_cast<trace::UserId>(user));
+      out.push_back(static_cast<trace::UserId>(base_ + user));
     }
   }
   return out;
@@ -439,8 +454,9 @@ std::vector<trace::UserId> EnergyLedger::users() const {
 
 std::vector<const AppUserAccount*> EnergyLedger::user_accounts(trace::UserId user) const {
   std::vector<const AppUserAccount*> out;
-  if (user >= users_.size() || !users_[user]) return out;
-  for (const AppUserAccount& acc : users_[user]->apps) {
+  const UserState* held = slab(user);
+  if (held == nullptr) return out;
+  for (const AppUserAccount& acc : held->apps) {
     if (acc.packets != 0) out.push_back(&acc);
   }
   return out;

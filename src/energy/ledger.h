@@ -15,12 +15,12 @@
 // indexed loads instead of a map walk. Ids beyond the StudyMeta hint (hand
 // built streams) grow the arrays on demand.
 //
-// Shardable (trace/shardable.h): one clone per user, folded back with
-// merge_from(), which steals the shard's per-user slabs (the shard is left
-// empty). Determinism is by construction: study-wide double totals are
-// stored as per-user partial sums and folded in user-id order at query time,
-// so the serial pass (which fills one partial per user, in order) and the
-// sharded merge produce the exact same floating-point fold. accounts()
+// Shardable (trace/shardable.h): one clone per user, holding just that
+// user's slab, folded back with merge_from(), which moves the slab to its
+// global id (the shard is left empty). Determinism is by construction:
+// study-wide double totals are stored as per-user partial sums and folded
+// in user-id order at query time, so every thread count produces the exact
+// same floating-point fold. accounts()
 // iterates user-major, app-ascending — the same deterministic order the old
 // (user << 32 | app) ordered map produced — regardless of how the ledger was
 // built.
@@ -172,6 +172,8 @@ class EnergyLedger final : public trace::TraceSink,
   /// The user's slab, allocated on first touch (apps pre-sized to the
   /// StudyMeta hint; grown on demand for out-of-hint ids).
   UserState& user_state(trace::UserId user);
+  /// The user's slab, or nullptr when it holds none.
+  [[nodiscard]] const UserState* slab(trace::UserId user) const;
   /// The (user, app) account inside `state`, initialized on first touch.
   AppUserAccount& account(UserState& state, trace::UserId user, trace::AppId app);
 
@@ -186,8 +188,13 @@ class EnergyLedger final : public trace::TraceSink,
   std::size_t num_days_ = 0;
   std::uint32_t num_apps_hint_ = 0;
   std::size_t num_accounts_ = 0;
-  /// Dense per-user slabs, indexed by UserId; null until the user has traffic.
+  /// Dense per-user slabs, indexed by UserId - base_; null until the user
+  /// has traffic.
   std::vector<std::unique_ptr<UserState>> users_;
+  /// clone_shard() ledgers index from their first user, so a shard holds
+  /// one slab whatever the population; parents keep base_ at 0.
+  bool shard_ = false;
+  trace::UserId base_ = 0;
 
   // -- fold-and-release state (all zero/empty outside fold mode) ------------
   AccountSpill* spill_ = nullptr;       ///< non-owning; armed by the engine

@@ -22,7 +22,7 @@ void RunStats::print(std::ostream& os) const {
   if (num_threads > 1) os << " (" << num_threads << " worker threads)";
   os << "\n"
      << "throughput:    " << fmt_sig(packets_per_sec()) << " packets/s, "
-     << fmt_bytes(bytes_per_sec()) << "/s\n"
+     << fmt_bytes(bytes_per_sec()) << " of simulated traffic per wall second\n"
      << "stream:        " << users << " users, " << packets << " packets, " << fmt_bytes(static_cast<double>(bytes))
      << ", " << transitions << " transitions\n"
      << "off-interface: " << off_interface_packets << " packets ("

@@ -47,7 +47,7 @@ struct StageStats {
   void merge_from(const StageStats& other);
 };
 
-/// One user-shard's share of a sharded run (core/pipeline.cpp).
+/// One user-shard's share of a run (core/engine.h).
 struct ShardRunStats {
   std::uint64_t user = 0;
   unsigned worker = 0;   ///< worker-pool thread that ran the shard
@@ -55,10 +55,6 @@ struct ShardRunStats {
   std::uint64_t packets = 0;
   std::uint64_t bytes = 0;
   double joules = 0.0;
-  /// This shard's own per-stage profile (filter, policy, attribute, sinks),
-  /// populated when stage stats were requested. The run-level
-  /// RunStats::stages is the user-id-order fold of these.
-  std::vector<StageStats> stages;
   // Failure handling (PipelineOptions::FailurePolicy::kRetryThenSkip).
   unsigned attempts = 1;   ///< 1 = succeeded first try; >1 = retried
   bool skipped = false;    ///< user excluded from the merge after retries
@@ -115,20 +111,20 @@ struct RunStats {
   std::uint64_t radio_promotions = 0;     ///< idle -> active promotions
   std::uint64_t radio_repromotions = 0;   ///< mid-tail re-promotions
 
-  // Per-stage profile; empty unless stage stats were requested. Sharded runs
-  // fill it too: each shard profiles its own chain copy on a shard-local
-  // PhaseStack and the copies are folded in user-id order (self times and
-  // counters add, batch-latency histograms merge binwise), so --stats names
-  // the hot stages at any thread count.
+  // Per-stage profile; empty unless stage stats were requested. Each shard
+  // profiles its own chain copy on a shard-local PhaseStack and the copies
+  // are folded as they merge, in user-id order (self times and counters add,
+  // batch-latency histograms merge binwise), so --stats names the hot stages
+  // at any thread count.
   bool timed = false;
   std::vector<StageStats> stages;
 
   // Memory accounting: sink/source footprints plus process peak RSS.
   MemoryStats memory;
 
-  // Sharded runs only (num_threads > 1): one entry per user shard, in
-  // user-id order, plus how many registered sinks are not shardable and were
-  // wrapped in a collect-splice adapter (core/shard_chain.h) — their merge
+  // One entry per user shard, in user-id order (forward-only sources
+  // included), plus how many registered sinks are not shardable and were
+  // wrapped in a collect-splice adapter (core/engine.cpp) — their merge
   // replays captured streams serially. 0 for the default analysis set.
   std::vector<ShardRunStats> shards;
   std::uint64_t serial_fallback_sinks = 0;
@@ -154,6 +150,8 @@ struct RunStats {
   [[nodiscard]] double packets_per_sec() const {
     return wall_ms > 0.0 ? static_cast<double>(packets) / (wall_ms / 1e3) : 0.0;
   }
+  /// Trace bytes attributed per wall second: simulated traffic volume over
+  /// run time, not an I/O rate.
   [[nodiscard]] double bytes_per_sec() const {
     return wall_ms > 0.0 ? static_cast<double>(bytes) / (wall_ms / 1e3) : 0.0;
   }

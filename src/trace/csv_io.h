@@ -66,7 +66,8 @@ struct CsvReadResult {
 
 /// TraceSource over a CSV stream: the reader behind StudyPipeline / CLI
 /// --replay, lifted onto the one producer API. Forward-only — no per-user
-/// random access — so the sharded engines run it through their serial path.
+/// random access — so the engine drives its user shards inline, one user
+/// bracket at a time (core/engine.h).
 /// A second emit() rewinds seekable streams and fails cleanly on pipes.
 class CsvTraceSource final : public TraceSource {
  public:

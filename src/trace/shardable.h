@@ -1,33 +1,36 @@
-// Shard/merge protocol for the parallel study pipeline (core/pipeline.cpp)
-// and the scenario sweep engine (core/sweep.cpp).
+// Shard/merge protocol of the execution engine (core/engine.h), which runs
+// every StudyPipeline and SweepEngine.
 //
-// Every analysis consumes independent per-user streams, so the engines run
-// one shard per user on a worker pool — if the sinks can be cloned and
-// merged. A sink opts in by also deriving from ShardableSink:
+// Every analysis consumes independent per-user streams, so the engine runs
+// one shard per user — if the sinks can be cloned and merged. A sink opts
+// in by also deriving from ShardableSink:
 //
 //   - clone_shard() returns a fresh, empty sink of the same type and
 //     configuration. The engine sends each clone a full study bracket
-//     (on_study_begin .. on_study_end) containing exactly one user.
-//   - After all shards finish, the engine resets the parent sink with
-//     on_study_begin(meta), then calls parent.merge_from(shard) once per
-//     shard in ascending user-id order, and finally on_study_end().
+//     (on_study_begin .. on_study_end) containing exactly one user. A clone
+//     must hold only that user's state: the engine keeps a window of clones
+//     alive, and their footprint must not grow with StudyMeta::num_users.
+//   - The engine opens the parent with on_study_begin(meta) before the first
+//     merge, calls parent.merge_from(shard) once per shard in ascending
+//     user-id order as shards complete, placing the user's state at its
+//     global id, and finally calls on_study_end().
 //
 // Determinism contract: for any thread count, merged results must be
-// bit-identical to the serial single-pass run. Integer aggregates merge by
+// bit-identical to one pass over the whole study. Integer aggregates merge by
 // addition. Cross-user double aggregates are NOT associative under addition,
 // so sinks must keep per-user partial sums and fold them in user-id order at
-// query time — then the serial pass and the sharded merge produce the exact
-// same fold (see energy/ledger.h for the pattern). Sample collections
+// query time — then every thread count produces the exact same fold (see
+// energy/ledger.h for the pattern). Sample collections
 // (util::Distribution) merge by appending, which reproduces the serial
 // user-major insertion order. Order-preserving collectors (TraceCollector)
 // merge by splicing shard streams in the user-id merge order, which is the
 // serial stream order.
 //
-// Every sink in the default analysis set implements this interface — the
-// engines have no serial-replay fallback path. A custom sink that does not
-// implement it is wrapped in a core::CollectSpliceSink adapter, which
-// captures each user's annotated stream on the worker and replays the
-// captures into the wrapped sink in user-id order at merge time.
+// Every sink in the default analysis set implements this interface. A
+// custom sink that does not is wrapped in a collect-splice adapter
+// (core/engine.cpp), which captures each user's annotated stream in its
+// shard and replays the captures into the wrapped sink in user-id order at
+// merge time.
 #pragma once
 
 #include <memory>
@@ -47,26 +50,27 @@ class ShardableSink {
   virtual ~ShardableSink() = default;
 
   /// A fresh sink of the same type/configuration, ready to consume one
-  /// user's bracketed stream on a worker thread.
+  /// user's bracketed stream on a worker thread. It holds only that user.
   [[nodiscard]] virtual std::unique_ptr<TraceSink> clone_shard() const = 0;
 
   /// Fold a completed shard (previously returned by this sink's
-  /// clone_shard()) into this sink. Called serially, in user-id order.
+  /// clone_shard()) into this sink, at its user's global id. Called on one
+  /// thread, in user-id order.
   virtual void merge_from(TraceSink& shard) = 0;
 
-  /// Fold-and-release lifecycle hook (DESIGN.md §15): `user`'s stream is
-  /// complete (serial: its on_user_end ran; sharded: its shard merged).
+  /// Fold-and-release lifecycle hook (DESIGN.md §15): `user`'s shard has
+  /// just merged into this sink.
   /// Sinks that opt in collapse the user's detail state into running
   /// aggregates — optionally spilling the detail rows to an account side
   /// file first — and free the per-user slab. Called in stream order, which
-  /// for both engines is ascending user id, so double folds performed here
+  /// is ascending user id, so double folds performed here
   /// are bit-identical to the ascending query-time folds an all-resident
   /// run performs. Only invoked when the engine runs with an account spill
   /// configured; sinks without per-user detail leave the no-op default.
   virtual void fold_user(UserId /*user*/) {}
 
   /// Arm (non-null) or disarm (null) the fold-and-release spill target the
-  /// sink writes its detail rows through during fold_user. The engines call
+  /// sink writes its detail rows through during fold_user. The engine calls
   /// this on every run, before the study bracket opens, so a sink armed by
   /// an earlier run is always reset. Sinks without per-user detail leave
   /// the no-op default.

@@ -1,6 +1,6 @@
 // Status / StatusOr: how errors cross module boundaries.
 //
-// The ingestion readers, the fault-injection layer, and the sharded engine
+// The ingestion readers, the fault-injection layer, and the execution engine
 // all need to hand failures upward without exceptions leaking across the
 // sink protocol or ad-hoc {bool ok; string error} structs multiplying (one
 // per reader, as they did before PR 3). A Status is a code plus a

@@ -23,14 +23,23 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::run_indexed(std::size_t n,
                              const std::function<void(std::size_t, unsigned)>& fn) {
+  start(n, fn);
+  wait();
+}
+
+void ThreadPool::start(std::size_t n, const std::function<void(std::size_t, unsigned)>& fn) {
   if (n == 0) return;
-  std::unique_lock<std::mutex> lock{mu_};
+  const std::lock_guard<std::mutex> lock{mu_};
   job_ = &fn;
   next_ = 0;
   total_ = n;
   remaining_ = n;
   error_ = nullptr;
   work_cv_.notify_all();
+}
+
+void ThreadPool::wait() {
+  std::unique_lock<std::mutex> lock{mu_};
   done_cv_.wait(lock, [this] { return remaining_ == 0; });
   job_ = nullptr;
   if (error_) {

@@ -1,16 +1,17 @@
-// A small fixed-size worker pool for the sharded study pipeline.
+// A small fixed-size worker pool.
 //
-// The pipeline's unit of parallelism is one user (DESIGN.md §7): shards are
-// independent, so the pool only needs fork-join batches — run_indexed(n, fn)
-// executes fn(i, worker) for every index in [0, n) across the workers and
-// blocks until all complete. Indices are handed out in ascending order from a
-// shared cursor, so early-finishing workers steal the remaining users instead
-// of idling behind a static partition.
+// run_indexed(n, fn) executes fn(i, worker) for every index in [0, n) across
+// the workers and blocks until all complete; start() and wait() split that
+// call so the caller can work while the batch runs. Indices are handed out
+// in ascending order from a shared cursor, so early-finishing workers take
+// the remaining indices instead of idling behind a static partition. The
+// execution engine (core/engine.cpp, DESIGN.md §7) starts one index per
+// worker: a loop that pulls shards from its window while the calling thread
+// builds and merges them.
 //
 // Determinism note: the pool makes no ordering promises between indices —
 // callers that need deterministic results must write fn so that index i only
-// touches slot i (the pipeline stores each shard in its own slot and merges
-// serially afterwards, in user-id order).
+// touches slot i.
 #pragma once
 
 #include <condition_variable>
@@ -41,6 +42,11 @@ class ThreadPool {
   /// batch drains (remaining indices still run). Not reentrant: one batch at
   /// a time, and fn must not call run_indexed on the same pool.
   void run_indexed(std::size_t n, const std::function<void(std::size_t, unsigned)>& fn);
+  /// Hand out the batch and return at once; `fn` must outlive the matching
+  /// wait(). One batch at a time.
+  void start(std::size_t n, const std::function<void(std::size_t, unsigned)>& fn);
+  /// Block until the started batch completes; rethrows its first exception.
+  void wait();
 
  private:
   void worker_loop(unsigned worker);

@@ -8,9 +8,9 @@
 //   - Corruption matrix: every fault/injector.h damage kind applied to a
 //     sealed WEAC account file yields a positioned util::Status naming the
 //     file — never a silent wrong detail row.
-//   - Kill-and-recover: a fold-and-release run killed by an injected
-//     checkpoint fault and resumed is bit-identical to an uninterrupted
-//     resident run at every thread count.
+//   - Kill-and-recover: a fold-and-release run — pipeline or sweep — killed
+//     by an injected checkpoint fault and resumed is bit-identical to an
+//     uninterrupted resident run at every thread count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +24,8 @@
 #include "analysis/persistence.h"
 #include "analysis/whatif.h"
 #include "core/pipeline.h"
+#include "core/policy.h"
+#include "core/sweep.h"
 #include "energy/account_cursor.h"
 #include "energy/account_file.h"
 #include "energy/ledger.h"
@@ -318,6 +320,87 @@ TEST(KillRecoverAccountPlane, ResumedFoldRunBitIdenticalAtEveryThreadCount) {
           << resumed_persist.hydrate_status().to_string();
       ASSERT_EQ(ra.size(), sa.size());
       for (std::size_t i = 0; i < ra.size(); ++i) EXPECT_EQ(ra[i], sa[i]);
+    }
+    fs::remove_all(ckpt_dir);
+    fs::remove_all(account_dir);
+  }
+}
+
+/// Two scenarios, each with its own persistence sink, on `sweep`.
+void add_fold_scenarios(core::SweepEngine& sweep, analysis::PersistenceAnalysis (&persist)[2]) {
+  core::Scenario baseline;
+  baseline.name = "baseline";
+  baseline.analyses.emplace_back("persistence", &persist[0]);
+  sweep.add_scenario(std::move(baseline));
+  core::Scenario kill3d;
+  kill3d.name = "kill-3d";
+  kill3d.policy = [](trace::TraceSink* d) {
+    return std::make_unique<core::KillAfterIdlePolicy>(d, days(3.0));
+  };
+  kill3d.analyses.emplace_back("persistence", &persist[1]);
+  sweep.add_scenario(std::move(kill3d));
+}
+
+TEST(KillRecoverAccountPlane, ResumedFoldSweepBitIdenticalAtEveryThreadCount) {
+  sim::StudyConfig cfg = sim::small_study(/*seed=*/23);
+  cfg.num_days = 30;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    // Reference: fully resident, uninterrupted, no checkpointing at all.
+    sim::StudyGenerator reference_gen{cfg};
+    core::SweepEngine reference{&reference_gen, {.num_threads = threads}};
+    analysis::PersistenceAnalysis reference_persist[2];
+    add_fold_scenarios(reference, reference_persist);
+    ASSERT_TRUE(reference.run().ok());
+
+    const fs::path ckpt_dir = scratch_dir("sweep_ckpt_t" + std::to_string(threads));
+    const fs::path account_dir = scratch_dir("sweep_accounts_t" + std::to_string(threads));
+    // Kill inside the second scenario: per-user checkpoints give the first
+    // one six writes plus a boundary write, so write 9 follows its 2nd user.
+    fault::FaultPlan plan;
+    arm_hard_stop(plan, 9);
+    core::SweepOptions options;
+    options.num_threads = threads;
+    options.checkpoint_dir = ckpt_dir.string();
+    options.checkpoint_every_users = 1;
+    options.account_dir = account_dir.string();
+    options.account_budget_bytes = 8 * 1024;
+    {
+      options.fault_plan = &plan;
+      sim::StudyGenerator killed_gen{cfg};
+      core::SweepEngine killed{&killed_gen, options};
+      analysis::PersistenceAnalysis killed_persist[2];
+      add_fold_scenarios(killed, killed_persist);
+      EXPECT_THROW((void)killed.run(), fault::ShardFault);
+    }
+
+    // Recover: fresh process state, fresh sinks, same directories.
+    options.fault_plan = nullptr;
+    options.resume = true;
+    sim::StudyGenerator resumed_gen{cfg};
+    core::SweepEngine resumed{&resumed_gen, options};
+    analysis::PersistenceAnalysis resumed_persist[2];
+    add_fold_scenarios(resumed, resumed_persist);
+    const auto stats = resumed.run();
+    ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+    EXPECT_EQ(stats->resumed_users, static_cast<std::uint64_t>(cfg.num_users) + 2);
+
+    for (std::size_t i = 0; i < 2; ++i) {
+      const core::ScenarioResult& want = reference.results()[i];
+      const core::ScenarioResult& got = resumed.results()[i];
+      SCOPED_TRACE("scenario " + want.name);
+      EXPECT_EQ(want.ledger.total_joules(), got.ledger.total_joules());
+      EXPECT_EQ(want.ledger.total_bytes(), got.ledger.total_bytes());
+      EXPECT_EQ(got.ledger.num_accounts(), 0u);  // every detail row spilled
+      expect_identical_sequences(collect_cursor(want.ledger), collect_cursor(got.ledger));
+      for (const trace::AppId app : reference_persist[i].tracked_apps()) {
+        const auto ra = reference_persist[i].durations(app).sorted_samples();
+        const auto sa = resumed_persist[i].durations(app).sorted_samples();
+        ASSERT_TRUE(resumed_persist[i].hydrate_status().ok())
+            << resumed_persist[i].hydrate_status().to_string();
+        ASSERT_EQ(ra.size(), sa.size());
+        for (std::size_t k = 0; k < ra.size(); ++k) EXPECT_EQ(ra[k], sa[k]);
+      }
     }
     fs::remove_all(ckpt_dir);
     fs::remove_all(account_dir);
