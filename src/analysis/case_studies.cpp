@@ -27,15 +27,7 @@ void CaseStudyAnalysis::on_study_begin(const trace::StudyMeta& meta) {
   num_days_ = static_cast<std::size_t>(std::max<std::int64_t>(num_days, 1));
   cur_user_ = kNoUser;
   per_app_.assign(apps_.size(), PerApp{});
-  if (spill_ == nullptr && !shard_) {
-    // Fold mode and shard clones never allocate the dense O(users) energy
-    // arrays or the O(users x days) day bitmaps (DESIGN.md §7).
-    for (PerApp& pa : per_app_) {
-      pa.joules_by_user.resize(meta.num_users, 0.0);
-      pa.joules_touched.resize(meta.num_users, false);
-      pa.active_day.assign(static_cast<std::size_t>(meta.num_users) * num_days_, false);
-    }
-  }
+  for (PerApp& pa : per_app_) pa.live_days.assign(num_days_, false);
   spilled_self_ = 0;
   hydrated_ = false;
   hydrate_status_ = util::Status::ok_status();
@@ -49,7 +41,18 @@ CaseStudyAnalysis::PerApp* CaseStudyAnalysis::slot(trace::AppId app) {
   return &per_app_[index];
 }
 
+void CaseStudyAnalysis::fold_live() {
+  for (PerApp& pa : per_app_) {
+    pa.joules += pa.live_joules;
+    pa.days_active +=
+        static_cast<std::uint64_t>(std::count(pa.live_days.begin(), pa.live_days.end(), true));
+    pa.live_joules = 0.0;
+    std::fill(pa.live_days.begin(), pa.live_days.end(), false);
+  }
+}
+
 void CaseStudyAnalysis::switch_user(trace::UserId user) {
+  fold_live();
   for (PerApp& pa : per_app_) pa.has_last_flow = false;
   cur_user_ = user;
 }
@@ -64,36 +67,12 @@ void CaseStudyAnalysis::on_packet(const trace::PacketRecord& p) {
   PerApp* pa = slot(p.app);
   if (pa == nullptr) return;
   if (p.user != cur_user_) switch_user(p.user);
-  if (spill_ != nullptr || shard_) {
-    // The live user accumulates in scalars and one day bitmap; a merge or
-    // fold_user takes them after the user bracket.
-    live_user_ = p.user;
-    pa->live_joules += p.joules;
-    pa->live_touched = true;
-    pa->bytes += p.bytes;
-    if (pa->live_days.size() != num_days_) pa->live_days.assign(num_days_, false);
-    const auto day = static_cast<std::size_t>(
-        std::clamp<std::int64_t>((p.time - meta_.study_begin).us / 86'400'000'000LL, 0,
-                                 static_cast<std::int64_t>(num_days_) - 1));
-    pa->live_days[day] = true;
-    assembler_.on_packet(p);
-    return;
-  }
-  if (p.user >= pa->joules_by_user.size()) {
-    pa->joules_by_user.resize(p.user + 1, 0.0);
-    pa->joules_touched.resize(p.user + 1, false);
-  }
-  pa->joules_by_user[p.user] += p.joules;
-  pa->joules_touched[p.user] = true;
+  pa->live_joules += p.joules;
   pa->bytes += p.bytes;
-  const std::size_t num_users = std::max<std::size_t>(meta_.num_users, 1);
-  const std::size_t num_days = std::max<std::size_t>(pa->active_day.size() / num_users, 1);
   const auto day = static_cast<std::size_t>(
       std::clamp<std::int64_t>((p.time - meta_.study_begin).us / 86'400'000'000LL, 0,
-                               static_cast<std::int64_t>(num_days) - 1));
-  const std::size_t cell = p.user * num_days + day;
-  if (cell >= pa->active_day.size()) pa->active_day.resize(cell + 1, false);
-  pa->active_day[cell] = true;
+                               static_cast<std::int64_t>(num_days_) - 1));
+  pa->live_days[day] = true;
   assembler_.on_packet(p);
 }
 
@@ -101,21 +80,18 @@ void CaseStudyAnalysis::on_transition(const trace::StateTransition&) {}
 
 void CaseStudyAnalysis::on_user_end(trace::UserId user) {
   assembler_.on_user_end(user);
-  for (PerApp& pa : per_app_) pa.has_last_flow = false;
-  cur_user_ = kNoUser;
+  switch_user(kNoUser);
 }
 
 void CaseStudyAnalysis::on_study_end() {}
 
 std::unique_ptr<trace::TraceSink> CaseStudyAnalysis::clone_shard() const {
-  auto shard = std::make_unique<CaseStudyAnalysis>(apps_);
-  shard->shard_ = true;
-  return shard;
+  return std::make_unique<CaseStudyAnalysis>(apps_);
 }
 
 void CaseStudyAnalysis::merge_from(trace::TraceSink& shard) {
   auto& other = dynamic_cast<CaseStudyAnalysis&>(shard);
-  const trace::UserId user = other.live_user_;
+  other.fold_live();  // a shard fed without its closing bracket
   for (std::size_t i = 0; i < per_app_.size() && i < other.per_app_.size(); ++i) {
     PerApp& mine = per_app_[i];
     PerApp& theirs = other.per_app_[i];
@@ -123,74 +99,31 @@ void CaseStudyAnalysis::merge_from(trace::TraceSink& shard) {
     mine.flows += theirs.flows;
     mine.early_gaps.merge_from(theirs.early_gaps);
     mine.late_gaps.merge_from(theirs.late_gaps);
-    if (!theirs.live_touched) continue;
-    if (spill_ != nullptr) {
-      // Fold mode: the shard's user becomes the live user the engine's next
-      // fold_user call collapses and spills.
-      mine.live_joules = theirs.live_joules;
-      mine.live_touched = true;
-      mine.live_days = std::move(theirs.live_days);
-      continue;
-    }
-    if (user >= mine.joules_by_user.size()) {
-      mine.joules_by_user.resize(user + 1, 0.0);
-      mine.joules_touched.resize(user + 1, false);
-    }
-    mine.joules_by_user[user] += theirs.live_joules;
-    mine.joules_touched[user] = true;
-    const std::size_t num_users = std::max<std::size_t>(meta_.num_users, 1);
-    const std::size_t num_days = std::max<std::size_t>(mine.active_day.size() / num_users, 1);
-    for (std::size_t d = 0; d < theirs.live_days.size() && d < num_days; ++d) {
-      if (!theirs.live_days[d]) continue;
-      const std::size_t cell = user * num_days + d;
-      if (cell >= mine.active_day.size()) mine.active_day.resize(cell + 1, false);
-      mine.active_day[cell] = true;
-    }
+    // The shard held one user, so its running sums are that user's.
+    mine.joules += theirs.joules;
+    mine.days_active += theirs.days_active;
   }
 }
 
 void CaseStudyAnalysis::fold_user(trace::UserId /*user*/) {
   if (spill_ == nullptr || hydrated_) return;
-  std::size_t with_data = 0;
-  for (PerApp& pa : per_app_) {
-    if (pa.live_touched || pa.early_gaps.count() > 0 || pa.late_gaps.count() > 0) {
-      ++with_data;
-    }
+  std::size_t with_gaps = 0;
+  for (const PerApp& pa : per_app_) {
+    if (pa.early_gaps.count() > 0 || pa.late_gaps.count() > 0) ++with_gaps;
   }
-  if (with_data == 0) return;
+  if (with_gaps == 0) return;
   ckpt::ByteWriter row;
-  row.put_varint(with_data);
+  row.put_varint(with_gaps);
   std::size_t prev_slot = 0;
-  static const std::vector<bool> kNoDays;
   for (std::size_t i = 0; i < per_app_.size(); ++i) {
     PerApp& pa = per_app_[i];
-    double joules = 0.0;
-    const std::vector<bool>* days = nullptr;
-    if (pa.live_touched) {
-      joules = pa.live_joules;
-      days = &pa.live_days;
-    } else if (pa.early_gaps.count() == 0 && pa.late_gaps.count() == 0) {
-      continue;  // nothing of this user's for the slot
-    }
+    if (pa.early_gaps.count() == 0 && pa.late_gaps.count() == 0) continue;
     row.put_varint(i - prev_slot);  // slot-ascending delta; the first is absolute
     prev_slot = i;
-    row.put_f64(joules);
-    row.put_bool_vec(days != nullptr ? *days : kNoDays);
     row.put_f64_span(pa.early_gaps.samples());
     row.put_f64_span(pa.late_gaps.samples());
-    if (days != nullptr) {
-      // Stream order is ascending user id, so the running joules sum
-      // reproduces the ascending query-time fold bit for bit; day counts
-      // are integers either way.
-      pa.folded_joules += joules;
-      pa.folded_days_active +=
-          static_cast<std::uint64_t>(std::count(days->begin(), days->end(), true));
-    }
     pa.early_gaps.restore_samples({});
     pa.late_gaps.restore_samples({});
-    pa.live_joules = 0.0;
-    pa.live_touched = false;
-    pa.live_days.clear();
   }
   spilled_self_ += spill_->add_section(kCaseSection, row.bytes());
 }
@@ -219,7 +152,6 @@ void CaseStudyAnalysis::hydrate() {
       return;
     }
     std::size_t slot_index = 0;
-    std::vector<bool> days_scratch;
     for (std::uint64_t i = 0; i < *count; ++i) {
       const auto delta = in.get_varint("case slot delta");
       if (!delta.ok()) {
@@ -231,16 +163,6 @@ void CaseStudyAnalysis::hydrate() {
         hydrate_status_ = util::Status::data_loss("case row for user " + std::to_string(user) +
                                                   ": slot " + std::to_string(slot_index) +
                                                   " out of range");
-        return;
-      }
-      const auto joules = in.get_f64("case joules");
-      if (!joules.ok()) {
-        hydrate_status_ = joules.status();
-        return;
-      }
-      auto status = in.get_bool_vec(days_scratch, "case days");
-      if (!status.ok()) {
-        hydrate_status_ = std::move(status);
         return;
       }
       auto early = in.get_f64_vec("case early gaps");
@@ -266,58 +188,22 @@ void CaseStudyAnalysis::hydrate() {
 }
 
 void CaseStudyAnalysis::save_state(ckpt::ByteWriter& out) const {
-  // Leading mode byte: 0 = dense resident partials (historical body
-  // follows); 1 = fold mode, folded per-app sums first.
-  out.put_u8(spill_ != nullptr ? 1 : 0);
-  if (spill_ != nullptr) {
-    for (const PerApp& pa : per_app_) {
-      out.put_f64(pa.folded_joules);
-      out.put_varint(pa.folded_days_active);
-    }
-    out.put_varint(spilled_self_);
-  }
+  out.put_varint(spilled_self_);
   out.put_varint(per_app_.size());
   for (const PerApp& pa : per_app_) {
-    out.put_f64_span(pa.joules_by_user);
-    out.put_bool_vec(pa.joules_touched);
+    out.put_f64(pa.joules);
+    out.put_varint(pa.days_active);
     out.put_varint(pa.bytes);
     out.put_varint(pa.flows);
-    out.put_bool_vec(pa.active_day);
     out.put_f64_span(pa.early_gaps.samples());
     out.put_f64_span(pa.late_gaps.samples());
   }
 }
 
 util::Status CaseStudyAnalysis::restore_state(ckpt::ByteReader& in) {
-  auto mode = in.get_u8("case_studies.mode");
-  if (!mode.ok()) return mode.status();
-  if (*mode > 1) {
-    return util::Status::data_loss("corrupt checkpoint: unknown case_studies mode " +
-                                   std::to_string(*mode));
-  }
-  spilled_self_ = 0;
-  for (PerApp& pa : per_app_) {
-    pa.folded_joules = 0.0;
-    pa.folded_days_active = 0;
-    pa.live_joules = 0.0;
-    pa.live_touched = false;
-    pa.live_days.clear();
-    pa.spill_early.restore_samples({});
-    pa.spill_late.restore_samples({});
-  }
-  if (*mode == 1) {
-    for (PerApp& pa : per_app_) {
-      auto joules = in.get_f64("case_studies.folded_joules");
-      if (!joules.ok()) return joules.status();
-      pa.folded_joules = *joules;
-      auto days = in.get_varint("case_studies.folded_days_active");
-      if (!days.ok()) return days.status();
-      pa.folded_days_active = *days;
-    }
-    auto spilled = in.get_varint("case_studies.spilled_bytes");
-    if (!spilled.ok()) return spilled.status();
-    spilled_self_ = *spilled;
-  }
+  auto spilled = in.get_varint("case_studies.spilled_bytes");
+  if (!spilled.ok()) return spilled.status();
+  spilled_self_ = *spilled;
   auto num_apps = in.get_varint("case_studies.apps");
   if (!num_apps.ok()) return num_apps.status();
   if (*num_apps != per_app_.size()) {
@@ -333,24 +219,24 @@ util::Status CaseStudyAnalysis::restore_state(ckpt::ByteReader& in) {
     return util::Status::ok_status();
   };
   for (PerApp& pa : per_app_) {
-    auto joules = in.get_f64_vec("case_studies.joules_by_user");
+    pa = PerApp{};
+    pa.live_days.assign(num_days_, false);
+    auto joules = in.get_f64("case_studies.joules");
     if (!joules.ok()) return joules.status();
-    pa.joules_by_user = std::move(*joules);
-    auto status = in.get_bool_vec(pa.joules_touched, "case_studies.joules_touched");
-    if (!status.ok()) return status;
+    pa.joules = *joules;
+    auto days = in.get_varint("case_studies.days_active");
+    if (!days.ok()) return days.status();
+    pa.days_active = *days;
     auto bytes = in.get_varint("case_studies.bytes");
     if (!bytes.ok()) return bytes.status();
     pa.bytes = *bytes;
     auto flows = in.get_varint("case_studies.flows");
     if (!flows.ok()) return flows.status();
     pa.flows = *flows;
-    status = in.get_bool_vec(pa.active_day, "case_studies.active_day");
-    if (!status.ok()) return status;
-    status = read_samples(pa.early_gaps, "case_studies.early_gaps");
+    auto status = read_samples(pa.early_gaps, "case_studies.early_gaps");
     if (!status.ok()) return status;
     status = read_samples(pa.late_gaps, "case_studies.late_gaps");
     if (!status.ok()) return status;
-    pa.has_last_flow = false;
   }
   return util::Status::ok_status();
 }
@@ -381,20 +267,11 @@ CaseStudyResult CaseStudyAnalysis::result(trace::AppId app) {
   PerApp* pa = slot(app);
   if (pa == nullptr) return out;
   hydrate();
-  // Folded prefix first, then the resident remainder in the same ascending
-  // user order — the identical floating-point fold either way.
-  out.joules_total = pa->folded_joules;
-  for (trace::UserId user = 0; user < pa->joules_by_user.size(); ++user) {
-    if (pa->joules_touched[user]) out.joules_total += pa->joules_by_user[user];
-  }
-  if (pa->live_touched) out.joules_total += pa->live_joules;
+  out.joules_total = pa->joules + pa->live_joules;
   out.bytes_total = pa->bytes;
   out.flows = pa->flows;
-  out.days_active = pa->folded_days_active +
-                    static_cast<std::uint64_t>(
-                        std::count(pa->active_day.begin(), pa->active_day.end(), true));
-  out.days_active += static_cast<std::uint64_t>(
-      std::count(pa->live_days.begin(), pa->live_days.end(), true));
+  out.days_active = pa->days_active + static_cast<std::uint64_t>(std::count(
+                                          pa->live_days.begin(), pa->live_days.end(), true));
   // Period estimation sorts the gap samples, so replaying the spilled prefix
   // before the resident tail yields the exact multiset a resident run holds.
   Distribution early = pa->spill_early;
@@ -409,9 +286,7 @@ CaseStudyResult CaseStudyAnalysis::result(trace::AppId app) {
 obs::MemoryUse CaseStudyAnalysis::memory_use() const {
   std::uint64_t total = tracked_index_.capacity() * sizeof(std::uint32_t);
   for (const PerApp& pa : per_app_) {
-    total += pa.joules_by_user.capacity() * sizeof(double) +
-             (pa.joules_touched.capacity() + 7) / 8 + (pa.active_day.capacity() + 7) / 8 +
-             (pa.early_gaps.count() + pa.late_gaps.count()) * sizeof(double) +
+    total += (pa.early_gaps.count() + pa.late_gaps.count()) * sizeof(double) +
              (pa.live_days.capacity() + 7) / 8 +
              (pa.spill_early.count() + pa.spill_late.count()) * sizeof(double);
   }

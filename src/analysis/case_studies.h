@@ -9,9 +9,10 @@
 // update period is estimated from the gaps between background flow starts.
 //
 // Data-plane layout (DESIGN.md §12): tracked apps resolve through a dense
-// AppId->slot index, energy partials live in dense per-user arrays, and the
-// last-flow-start anchor is a per-app scalar for the single live user (the
-// stream is user-bracketed) — no hashing on the packet path.
+// AppId->slot index, and the energy partial, day bitmap and last-flow-start
+// anchor are per-app scalars for the single live user (the stream is
+// user-bracketed) — no hashing on the packet path. A user's joules and
+// active days fold into per-app running sums when the user's bracket ends.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +32,7 @@ class AccountSpill;  // energy/account_file.h
 
 namespace wildenergy::analysis {
 
-/// Section name this sink spills per-user energy, day bitmaps, and flow-gap
-/// samples under.
+/// Section name this sink spills per-user flow-gap samples under.
 inline constexpr const char* kCaseSection = "case";
 
 struct CaseStudyResult {
@@ -77,14 +77,14 @@ class CaseStudyAnalysis final : public trace::TraceSink,
   void on_user_end(trace::UserId user) override;
   void on_study_end() override;
 
-  // ShardableSink: counters add, day bitmaps OR (users touch disjoint
-  // ranges), gap samples append in user-id order, and per-app joules are
-  // kept as per-user partials folded by result() (trace/shardable.h).
+  // ShardableSink: counters and running sums add and gap samples append, in
+  // stream order (trace/shardable.h).
   [[nodiscard]] std::unique_ptr<trace::TraceSink> clone_shard() const override;
   void merge_from(trace::TraceSink& shard) override;
 
-  // CheckpointableSink: per-user joules, day bitmaps, and gap samples in
-  // their stored order (flow anchors reset at every user end).
+  // CheckpointableSink: the running sums and the resident gap samples in
+  // their stored order (live fields and flow anchors reset at every user
+  // end).
   void save_state(ckpt::ByteWriter& out) const override;
   [[nodiscard]] util::Status restore_state(ckpt::ByteReader& in) override;
 
@@ -92,46 +92,37 @@ class CaseStudyAnalysis final : public trace::TraceSink,
   [[nodiscard]] const std::vector<trace::AppId>& tracked() const { return apps_; }
 
   // -- fold-and-release (DESIGN.md §15) --------------------------------------
-  /// Arm fold mode: the dense per-app O(users) energy arrays and
-  /// O(users x days) day bitmaps are not allocated. The live user (fed
-  /// directly, or merged from a shard) accumulates in per-app scalars and one
-  /// day bitmap; fold_user() folds them into per-app running sums (stream
-  /// order = ascending user id, bit-identical to the ascending query-time
-  /// folds), spills the user's detail — energy, day bits, and flow-gap
-  /// samples — as a "case" section, and clears it.
-  /// result() hydrates the spilled gap samples lazily (period estimation
-  /// needs the full sample set; it sorts, so replay order cannot matter).
+  /// Arm the gap-sample spill: fold_user() writes the merged user's flow-gap
+  /// samples as a "case" section and clears them, and result() hydrates the
+  /// spilled samples lazily (period estimation needs the full sample set; it
+  /// sorts, so replay order cannot matter). Joules and day counts fold into
+  /// running sums either way.
   void set_account_spill(energy::AccountSpill* spill) { spill_ = spill; }
-  [[nodiscard]] bool fold_mode() const { return spill_ != nullptr; }
   void fold_user(trace::UserId user) override;
   /// OK unless query-time hydration of spilled gap samples failed.
   [[nodiscard]] const util::Status& hydrate_status() const { return hydrate_status_; }
 
-  /// Approximate resident footprint: per-user energy partials, day bitmaps,
-  /// and retained gap samples.
+  /// Approximate resident footprint: the live day bitmaps and retained gap
+  /// samples.
   [[nodiscard]] obs::MemoryUse memory_use() const override;
 
  private:
   struct PerApp {
-    std::vector<double> joules_by_user;  ///< dense by UserId
-    std::vector<bool> joules_touched;    ///< user has an energy partial
     std::uint64_t bytes = 0;
     std::uint64_t flows = 0;
-    std::vector<bool> active_day;  ///< (user-major) day activity bitmaps, merged
     /// Gaps between consecutive background flow starts, split into eras.
+    /// With a spill armed, only the not-yet-spilled samples.
     Distribution early_gaps;
     Distribution late_gaps;
     /// Start of the current user's previous background flow (the stream is
     /// user-bracketed, so one anchor per app suffices).
     TimePoint last_flow_start;
     bool has_last_flow = false;
-    // The live user (fold mode and shard clones). In fold mode
-    // early_gaps/late_gaps hold only the not-yet-folded samples.
     double live_joules = 0.0;
-    bool live_touched = false;
     std::vector<bool> live_days;  ///< the live user's day-activity bitmap
-    double folded_joules = 0.0;
-    std::uint64_t folded_days_active = 0;
+    /// Running sums over folded users, in stream order.
+    double joules = 0.0;
+    std::uint64_t days_active = 0;
     /// Spilled gap samples, rehydrated at query time (spilled prefix; the
     /// resident early_gaps/late_gaps tail merges after).
     Distribution spill_early;
@@ -142,7 +133,10 @@ class CaseStudyAnalysis final : public trace::TraceSink,
 
   /// Tracked slot for `app`, or nullptr when the app is not a study subject.
   PerApp* slot(trace::AppId app);
-  /// Reset per-app flow anchors when the stream moves to a new user.
+  /// Fold the live user's joules and active days into the running sums.
+  void fold_live();
+  /// Fold the previous user and reset per-app flow anchors when the stream
+  /// moves to a new user.
   void switch_user(trace::UserId user);
   void on_flow(const trace::FlowRecord& flow);
   /// Stream spilled "case" sections' gap samples back into spill_early /
@@ -159,12 +153,7 @@ class CaseStudyAnalysis final : public trace::TraceSink,
   std::vector<PerApp> per_app_;  ///< one slot per tracked app, in apps_ order
   trace::FlowAssembler assembler_;
 
-  /// Made by clone_shard(): holds its one user in the live fields, so its
-  /// footprint does not depend on the population.
-  bool shard_ = false;
-  trace::UserId live_user_ = kNoUser;  ///< owner of the live fields
-
-  // Fold-and-release state (zero outside fold mode).
+  // Gap-sample spill state (zero while no spill is armed).
   energy::AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine
   std::uint64_t spilled_self_ = 0;
   bool hydrated_ = false;

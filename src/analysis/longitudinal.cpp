@@ -4,7 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "energy/account_file.h"
 #include "trace/batch.h"
 
 namespace wildenergy::analysis {
@@ -32,52 +31,53 @@ LongitudinalAnalysis::LongitudinalAnalysis(std::vector<trace::AppId> tracked_app
   }
 }
 
+void LongitudinalAnalysis::Part::reset(std::size_t weeks, std::size_t apps) {
+  fg_weeks.assign(weeks, 0.0);
+  bg_weeks.assign(weeks, 0.0);
+  eras.assign(apps, EraAccum{});
+}
+
+LongitudinalAnalysis::Part& LongitudinalAnalysis::Part::operator+=(const Part& other) {
+  for (std::size_t w = 0; w < fg_weeks.size() && w < other.fg_weeks.size(); ++w) {
+    fg_weeks[w] += other.fg_weeks[w];
+    bg_weeks[w] += other.bg_weeks[w];
+  }
+  for (std::size_t i = 0; i < eras.size() && i < other.eras.size(); ++i) {
+    eras[i].early_joules += other.eras[i].early_joules;
+    eras[i].late_joules += other.eras[i].late_joules;
+    eras[i].early_bytes += other.eras[i].early_bytes;
+    eras[i].late_bytes += other.eras[i].late_bytes;
+  }
+  return *this;
+}
+
 void LongitudinalAnalysis::on_study_begin(const trace::StudyMeta& meta) {
   meta_ = meta;
   num_days_ = static_cast<std::int64_t>(std::ceil(meta.span().days()));
   num_weeks_ = std::max<std::size_t>(static_cast<std::size_t>((num_days_ + 6) / 7), 1);
-  users_.clear();
-  // Fold mode and shard clones never allocate the dense per-user partial
-  // array: the live user accumulates in live_ (DESIGN.md §7).
-  if (spill_ == nullptr && !shard_) users_.resize(meta.num_users);
-  cur_ = nullptr;
-  spilled_self_ = 0;
+  live_.reset(num_weeks_, tracked_.size());
   live_valid_ = false;
-  folded_fg_weeks_.assign(num_weeks_, 0.0);
-  folded_bg_weeks_.assign(num_weeks_, 0.0);
-  folded_eras_.assign(tracked_.size(), EraAccum{});
-  dirty_ = true;
+  folded_.reset(num_weeks_, tracked_.size());
 }
 
-LongitudinalAnalysis::UserPart& LongitudinalAnalysis::user_part(trace::UserId user) {
-  if (spill_ != nullptr || shard_) {
-    if (!live_valid_ || live_user_ != user) {
-      live_.fg_weeks.assign(num_weeks_, 0.0);
-      live_.bg_weeks.assign(num_weeks_, 0.0);
-      live_.eras.assign(tracked_.size(), EraAccum{});
-      live_user_ = user;
-      live_valid_ = true;
-    }
-    return live_;
+LongitudinalAnalysis::Part& LongitudinalAnalysis::live_part(trace::UserId user) {
+  if (!live_valid_ || live_user_ != user) {
+    fold_live();
+    live_user_ = user;
+    live_valid_ = true;
   }
-  if (user >= users_.size()) users_.resize(user + 1);
-  auto& slot = users_[user];
-  if (!slot) {
-    slot = std::make_unique<UserPart>();
-    slot->fg_weeks.assign(num_weeks_, 0.0);
-    slot->bg_weeks.assign(num_weeks_, 0.0);
-    slot->eras.resize(tracked_.size());
-  }
-  return *slot;
+  return live_;
+}
+
+void LongitudinalAnalysis::fold_live() {
+  if (!live_valid_) return;
+  folded_ += live_;
+  live_.reset(num_weeks_, tracked_.size());
+  live_valid_ = false;
 }
 
 void LongitudinalAnalysis::on_packet(const trace::PacketRecord& p) {
-  if (cur_ == nullptr || cur_user_ != p.user) {
-    cur_user_ = p.user;
-    cur_ = &user_part(p.user);
-  }
-  UserPart& part = *cur_;
-  dirty_ = true;
+  Part& part = live_part(p.user);
 
   const std::int64_t day = (p.time - meta_.study_begin).us / 86'400'000'000LL;
   const auto week = static_cast<std::size_t>(
@@ -105,8 +105,7 @@ void LongitudinalAnalysis::on_batch(const trace::EventBatch& batch) {
   if (batch.packets.empty()) return;
   // Batches lie inside one user bracket: hoist the user partial, then run a
   // tight pass over the packet column (transitions are ignored).
-  UserPart& part = user_part(batch.user);
-  dirty_ = true;
+  Part& part = live_part(batch.user);
   const std::int64_t begin_us = meta_.study_begin.us;
   const auto last_week = static_cast<std::int64_t>(num_weeks_) - 1;
   for (const auto& p : batch.packets) {
@@ -129,220 +128,83 @@ void LongitudinalAnalysis::on_batch(const trace::EventBatch& batch) {
   }
 }
 
+void LongitudinalAnalysis::on_user_end(trace::UserId /*user*/) { fold_live(); }
+
 std::unique_ptr<trace::TraceSink> LongitudinalAnalysis::clone_shard() const {
-  auto shard = std::make_unique<LongitudinalAnalysis>(tracked_);
-  shard->shard_ = true;
-  return shard;
+  return std::make_unique<LongitudinalAnalysis>(tracked_);
 }
 
 void LongitudinalAnalysis::merge_from(trace::TraceSink& shard) {
   auto& other = dynamic_cast<LongitudinalAnalysis&>(shard);
-  if (other.live_valid_) {
-    if (spill_ != nullptr) {
-      // Fold mode: the shard's user becomes the live user the engine's next
-      // fold_user call collapses and spills.
-      live_ = std::move(other.live_);
-      live_user_ = other.live_user_;
-      live_valid_ = true;
-    } else {
-      if (other.live_user_ >= users_.size()) users_.resize(other.live_user_ + 1);
-      users_[other.live_user_] = std::make_unique<UserPart>(std::move(other.live_));
-    }
-    other.live_valid_ = false;
-  }
-  cur_ = nullptr;
-  other.cur_ = nullptr;
-  dirty_ = true;
-}
-
-void LongitudinalAnalysis::fold_user(trace::UserId user) {
-  if (spill_ == nullptr || !live_valid_ || live_user_ != user) return;
-  const UserPart* part = &live_;
-  // Stream order is ascending user id, so these running sums reproduce the
-  // ascending query-time fold bit for bit.
-  for (std::size_t w = 0; w < num_weeks_; ++w) {
-    folded_fg_weeks_[w] += part->fg_weeks[w];
-    folded_bg_weeks_[w] += part->bg_weeks[w];
-  }
-  for (std::size_t i = 0; i < folded_eras_.size(); ++i) {
-    folded_eras_[i].early_joules += part->eras[i].early_joules;
-    folded_eras_[i].late_joules += part->eras[i].late_joules;
-    folded_eras_[i].early_bytes += part->eras[i].early_bytes;
-    folded_eras_[i].late_bytes += part->eras[i].late_bytes;
-  }
-  ckpt::ByteWriter row;
-  row.put_f64_span(part->fg_weeks);
-  row.put_f64_span(part->bg_weeks);
-  row.put_varint(part->eras.size());
-  for (const EraAccum& era : part->eras) {
-    row.put_f64(era.early_joules);
-    row.put_f64(era.late_joules);
-    row.put_varint(era.early_bytes);
-    row.put_varint(era.late_bytes);
-  }
-  spilled_self_ += spill_->add_section(kLongitSection, row.bytes());
-  live_valid_ = false;
-  cur_ = nullptr;
-  dirty_ = true;
+  other.fold_live();  // a shard fed without its closing bracket
+  // The shard held one user, so its running sums are that user's part.
+  folded_ += other.folded_;
 }
 
 void LongitudinalAnalysis::save_state(ckpt::ByteWriter& out) const {
-  // Leading mode byte: 0 = dense resident partials (historical body
-  // follows); 1 = fold mode, folded week/era sums first.
-  out.put_u8(spill_ != nullptr ? 1 : 0);
-  if (spill_ != nullptr) {
-    out.put_f64_span(folded_fg_weeks_);
-    out.put_f64_span(folded_bg_weeks_);
-    out.put_varint(folded_eras_.size());
-    for (const EraAccum& era : folded_eras_) {
-      out.put_f64(era.early_joules);
-      out.put_f64(era.late_joules);
-      out.put_varint(era.early_bytes);
-      out.put_varint(era.late_bytes);
-    }
-    out.put_varint(spilled_self_);
-  }
-  out.put_varint(users_.size());
-  for (const auto& part : users_) {
-    out.put_u8(part ? 1 : 0);
-    if (!part) continue;
-    out.put_f64_span(part->fg_weeks);
-    out.put_f64_span(part->bg_weeks);
-    out.put_varint(part->eras.size());
-    for (const EraAccum& era : part->eras) {
-      out.put_f64(era.early_joules);
-      out.put_f64(era.late_joules);
-      out.put_varint(era.early_bytes);
-      out.put_varint(era.late_bytes);
-    }
+  out.put_f64_span(folded_.fg_weeks);
+  out.put_f64_span(folded_.bg_weeks);
+  out.put_varint(folded_.eras.size());
+  for (const EraAccum& era : folded_.eras) {
+    out.put_f64(era.early_joules);
+    out.put_f64(era.late_joules);
+    out.put_varint(era.early_bytes);
+    out.put_varint(era.late_bytes);
   }
 }
 
 util::Status LongitudinalAnalysis::restore_state(ckpt::ByteReader& in) {
-  auto mode = in.get_u8("longitudinal.mode");
-  if (!mode.ok()) return mode.status();
-  if (*mode > 1) {
-    return util::Status::data_loss("corrupt checkpoint: unknown longitudinal mode " +
-                                   std::to_string(*mode));
-  }
-  spilled_self_ = 0;
+  live_.reset(num_weeks_, tracked_.size());
   live_valid_ = false;
-  folded_fg_weeks_.assign(num_weeks_, 0.0);
-  folded_bg_weeks_.assign(num_weeks_, 0.0);
-  folded_eras_.assign(tracked_.size(), EraAccum{});
-  if (*mode == 1) {
-    auto status = in.get_f64_span(folded_fg_weeks_, "longitudinal.folded_fg_weeks");
-    if (!status.ok()) return status;
-    status = in.get_f64_span(folded_bg_weeks_, "longitudinal.folded_bg_weeks");
-    if (!status.ok()) return status;
-    auto num_eras = in.get_varint("longitudinal.folded_eras");
-    if (!num_eras.ok()) return num_eras.status();
-    if (*num_eras != folded_eras_.size()) {
-      return util::Status::data_loss("corrupt checkpoint: longitudinal tracks " +
-                                     std::to_string(folded_eras_.size()) +
-                                     " apps, snapshot holds " + std::to_string(*num_eras));
-    }
-    for (EraAccum& era : folded_eras_) {
-      auto early_j = in.get_f64("longitudinal.folded_era_early_joules");
-      if (!early_j.ok()) return early_j.status();
-      era.early_joules = *early_j;
-      auto late_j = in.get_f64("longitudinal.folded_era_late_joules");
-      if (!late_j.ok()) return late_j.status();
-      era.late_joules = *late_j;
-      auto early_b = in.get_varint("longitudinal.folded_era_early_bytes");
-      if (!early_b.ok()) return early_b.status();
-      era.early_bytes = *early_b;
-      auto late_b = in.get_varint("longitudinal.folded_era_late_bytes");
-      if (!late_b.ok()) return late_b.status();
-      era.late_bytes = *late_b;
-    }
-    auto spilled = in.get_varint("longitudinal.spilled_bytes");
-    if (!spilled.ok()) return spilled.status();
-    spilled_self_ = *spilled;
+  folded_.reset(num_weeks_, tracked_.size());
+  auto status = in.get_f64_span(folded_.fg_weeks, "longitudinal.fg_weeks");
+  if (!status.ok()) return status;
+  status = in.get_f64_span(folded_.bg_weeks, "longitudinal.bg_weeks");
+  if (!status.ok()) return status;
+  auto num_eras = in.get_varint("longitudinal.eras");
+  if (!num_eras.ok()) return num_eras.status();
+  if (*num_eras != folded_.eras.size()) {
+    return util::Status::data_loss("corrupt checkpoint: longitudinal tracks " +
+                                   std::to_string(folded_.eras.size()) +
+                                   " apps, snapshot holds " + std::to_string(*num_eras));
   }
-  auto num_users = in.get_varint("longitudinal.users");
-  if (!num_users.ok()) return num_users.status();
-  users_.clear();
-  users_.resize(*num_users);
-  cur_ = nullptr;
-  for (auto& slot : users_) {
-    auto present = in.get_u8("longitudinal.user_present");
-    if (!present.ok()) return present.status();
-    if (*present == 0) continue;
-    auto part = std::make_unique<UserPart>();
-    part->fg_weeks.assign(num_weeks_, 0.0);
-    part->bg_weeks.assign(num_weeks_, 0.0);
-    auto status = in.get_f64_span(part->fg_weeks, "longitudinal.fg_weeks");
-    if (!status.ok()) return status;
-    status = in.get_f64_span(part->bg_weeks, "longitudinal.bg_weeks");
-    if (!status.ok()) return status;
-    auto num_eras = in.get_varint("longitudinal.eras");
-    if (!num_eras.ok()) return num_eras.status();
-    part->eras.resize(*num_eras);
-    for (EraAccum& era : part->eras) {
-      auto early_j = in.get_f64("longitudinal.era_early_joules");
-      if (!early_j.ok()) return early_j.status();
-      era.early_joules = *early_j;
-      auto late_j = in.get_f64("longitudinal.era_late_joules");
-      if (!late_j.ok()) return late_j.status();
-      era.late_joules = *late_j;
-      auto early_b = in.get_varint("longitudinal.era_early_bytes");
-      if (!early_b.ok()) return early_b.status();
-      era.early_bytes = *early_b;
-      auto late_b = in.get_varint("longitudinal.era_late_bytes");
-      if (!late_b.ok()) return late_b.status();
-      era.late_bytes = *late_b;
-    }
-    slot = std::move(part);
+  for (EraAccum& era : folded_.eras) {
+    auto early_j = in.get_f64("longitudinal.era_early_joules");
+    if (!early_j.ok()) return early_j.status();
+    era.early_joules = *early_j;
+    auto late_j = in.get_f64("longitudinal.era_late_joules");
+    if (!late_j.ok()) return late_j.status();
+    era.late_joules = *late_j;
+    auto early_b = in.get_varint("longitudinal.era_early_bytes");
+    if (!early_b.ok()) return early_b.status();
+    era.early_bytes = *early_b;
+    auto late_b = in.get_varint("longitudinal.era_late_bytes");
+    if (!late_b.ok()) return late_b.status();
+    era.late_bytes = *late_b;
   }
-  dirty_ = true;
   return util::Status::ok_status();
 }
 
-void LongitudinalAnalysis::fold() const {
-  if (!dirty_) return;
-  const auto add_part = [this](const UserPart& part) {
-    for (std::size_t w = 0; w < num_weeks_; ++w) {
-      overall_.fg_joules[w] += part.fg_weeks[w];
-      overall_.bg_joules[w] += part.bg_weeks[w];
-    }
-    for (std::size_t i = 0; i < eras_.size(); ++i) {
-      eras_[i].early_joules += part.eras[i].early_joules;
-      eras_[i].late_joules += part.eras[i].late_joules;
-      eras_[i].early_bytes += part.eras[i].early_bytes;
-      eras_[i].late_bytes += part.eras[i].late_bytes;
-    }
-  };
-  // Folded prefix first, then the resident remainder in the same ascending
-  // user order — the identical floating-point fold either way.
-  if (spill_ != nullptr) {
-    overall_.fg_joules = folded_fg_weeks_;
-    overall_.bg_joules = folded_bg_weeks_;
-    eras_ = folded_eras_;
-  } else {
-    overall_.fg_joules.assign(num_weeks_, 0.0);
-    overall_.bg_joules.assign(num_weeks_, 0.0);
-    eras_.assign(tracked_.size(), EraAccum{});
-  }
-  for (const auto& part : users_) {
-    if (part) add_part(*part);
-  }
-  if (live_valid_) add_part(live_);
-  dirty_ = false;
-}
-
-const WeeklySeries& LongitudinalAnalysis::overall() const {
-  fold();
-  return overall_;
+WeeklySeries LongitudinalAnalysis::overall() const {
+  Part sums = folded_;
+  if (live_valid_) sums += live_;
+  return {std::move(sums.fg_weeks), std::move(sums.bg_weeks)};
 }
 
 EraComparison LongitudinalAnalysis::era_comparison(trace::AppId app) const {
-  fold();
   EraComparison out;
   out.app = app;
   if (num_days_ < 3) return out;
   if (app >= tracked_index_.size() || tracked_index_[app] == kUntracked) return out;
-  const EraAccum& era = eras_[tracked_index_[app]];
+  const std::uint32_t slot = tracked_index_[app];
+  EraAccum era = folded_.eras[slot];
+  if (live_valid_) {
+    const EraAccum& live = live_.eras[slot];
+    era.early_joules += live.early_joules;
+    era.late_joules += live.late_joules;
+    era.early_bytes += live.early_bytes;
+    era.late_bytes += live.late_bytes;
+  }
   const double era_days = static_cast<double>(num_days_) / 3.0;
   out.early_joules_per_day = era.early_joules / era_days;
   out.late_joules_per_day = era.late_joules / era_days;
@@ -356,19 +218,11 @@ EraComparison LongitudinalAnalysis::era_comparison(trace::AppId app) const {
 }
 
 obs::MemoryUse LongitudinalAnalysis::memory_use() const {
-  const auto part_bytes = [](const UserPart& part) -> std::uint64_t {
-    return sizeof(UserPart) +
-           (part.fg_weeks.capacity() + part.bg_weeks.capacity()) * sizeof(double) +
+  const auto part_bytes = [](const Part& part) -> std::uint64_t {
+    return (part.fg_weeks.capacity() + part.bg_weeks.capacity()) * sizeof(double) +
            part.eras.capacity() * sizeof(EraAccum);
   };
-  std::uint64_t total = users_.capacity() * sizeof(users_[0]) +
-                        (folded_fg_weeks_.capacity() + folded_bg_weeks_.capacity()) *
-                            sizeof(double) +
-                        folded_eras_.capacity() * sizeof(EraAccum) + part_bytes(live_);
-  for (const auto& part : users_) {
-    if (part) total += part_bytes(*part);
-  }
-  return {.resident_bytes = total, .spilled_bytes = spilled_self_};
+  return {.resident_bytes = part_bytes(live_) + part_bytes(folded_), .spilled_bytes = 0};
 }
 
 }  // namespace wildenergy::analysis

@@ -10,10 +10,11 @@
 // behaviour evolutions Table 1 reports (Facebook 5 min -> 1 h, ...).
 //
 // Shardable (trace/shardable.h): the weekly series and era accumulators are
-// cross-user double sums, so they are kept as per-user partials — one dense
-// week vector and era array per user — and folded in user-id order when
-// queried. Every thread count therefore performs the exact same
-// floating-point fold, and outputs are bit-identical (DESIGN.md §12).
+// cross-user double sums. The live user accumulates in its own week vector
+// and era array, which fold into running sums when the user's stream ends
+// and as shards merge — in stream order, so every thread count performs the
+// exact same floating-point fold and outputs are bit-identical
+// (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -25,14 +26,7 @@
 #include "trace/shardable.h"
 #include "trace/sink.h"
 
-namespace wildenergy::energy {
-class AccountSpill;  // energy/account_file.h
-}
-
 namespace wildenergy::analysis {
-
-/// Section name this sink spills per-user week/era partials under.
-inline constexpr const char* kLongitSection = "longit";
 
 struct WeeklySeries {
   std::vector<double> fg_joules;
@@ -66,29 +60,18 @@ class LongitudinalAnalysis final : public trace::TraceSink,
   void on_study_begin(const trace::StudyMeta& meta) override;
   void on_packet(const trace::PacketRecord& packet) override;
   void on_batch(const trace::EventBatch& batch) override;
+  void on_user_end(trace::UserId user) override;
 
-  // ShardableSink: per-user week/era partials stolen from the shard and
-  // folded in user-id order at query time.
+  // ShardableSink: the shard's week/era sums add to the running sums.
   [[nodiscard]] std::unique_ptr<trace::TraceSink> clone_shard() const override;
   void merge_from(trace::TraceSink& shard) override;
 
-  // CheckpointableSink: per-user week/era partials (raw double bits); the
-  // query-time fold cache is rebuilt lazily after restore.
+  // CheckpointableSink: the running week/era sums (raw double bits).
   void save_state(ckpt::ByteWriter& out) const override;
   [[nodiscard]] util::Status restore_state(ckpt::ByteReader& in) override;
 
-  // -- fold-and-release (DESIGN.md §15) --------------------------------------
-  /// Arm fold mode: the dense per-user partial array is not allocated. The
-  /// live user (fed directly, or merged from a shard) accumulates in one
-  /// UserPart; fold_user() folds the completed user's partial into
-  /// running week/era accumulators (stream order = ascending user id,
-  /// bit-identical to the ascending query-time folds), spills it as a
-  /// "longit" section, and releases it.
-  void set_account_spill(energy::AccountSpill* spill) { spill_ = spill; }
-  [[nodiscard]] bool fold_mode() const { return spill_ != nullptr; }
-  void fold_user(trace::UserId user) override;
-
-  [[nodiscard]] const WeeklySeries& overall() const;
+  /// Weekly fg/bg joules: the running sums plus the live user.
+  [[nodiscard]] WeeklySeries overall() const;
   [[nodiscard]] EraComparison era_comparison(trace::AppId app) const;
 
   [[nodiscard]] obs::MemoryUse memory_use() const override;
@@ -101,19 +84,22 @@ class LongitudinalAnalysis final : public trace::TraceSink,
     std::uint64_t late_bytes = 0;
   };
 
-  /// One user's partial sums: dense weekly fg/bg joules plus one era
-  /// accumulator per tracked app (indexed by tracked_index_).
-  struct UserPart {
+  /// Week and era sums of one user (the live part) or of every folded user.
+  struct Part {
     std::vector<double> fg_weeks;
     std::vector<double> bg_weeks;
-    std::vector<EraAccum> eras;
+    std::vector<EraAccum> eras;  ///< one per tracked app, by tracked_index_
+
+    void reset(std::size_t weeks, std::size_t apps);
+    Part& operator+=(const Part& other);
   };
 
   static constexpr std::uint32_t kUntracked = UINT32_MAX;
 
-  UserPart& user_part(trace::UserId user);
-  /// Fold per-user partials (user-id order) into overall_/eras_.
-  void fold() const;
+  /// The live part, after folding the previous user when `user` differs.
+  Part& live_part(trace::UserId user);
+  /// Fold the live user into the running sums.
+  void fold_live();
 
   trace::StudyMeta meta_;
   std::int64_t num_days_ = 0;
@@ -121,31 +107,10 @@ class LongitudinalAnalysis final : public trace::TraceSink,
   std::vector<trace::AppId> tracked_;
   /// Dense app-id -> tracked slot map (kUntracked when not tracked).
   std::vector<std::uint32_t> tracked_index_;
-  /// Per-user partials, indexed by UserId; null until the user has traffic.
-  std::vector<std::unique_ptr<UserPart>> users_;
-
-  // Hot-path cache: the current user's partial (packets arrive user-grouped).
-  trace::UserId cur_user_ = 0;
-  UserPart* cur_ = nullptr;
-
-  // Fold-and-release state (all empty/zero outside fold mode).
-  energy::AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine
-  std::uint64_t spilled_self_ = 0;
-  UserPart live_;  ///< the live user's partial (fold mode, shard clones)
+  Part live_;
   trace::UserId live_user_ = 0;
-  bool live_valid_ = false;
-  /// Made by clone_shard(): holds its one user in live_, so its footprint
-  /// does not depend on the population.
-  bool shard_ = false;
-  /// Running week/era sums over folded users (stream = ascending user order).
-  std::vector<double> folded_fg_weeks_;
-  std::vector<double> folded_bg_weeks_;
-  std::vector<EraAccum> folded_eras_;
-
-  // Query-time fold cache, invalidated by any mutation.
-  mutable bool dirty_ = true;
-  mutable WeeklySeries overall_;
-  mutable std::vector<EraAccum> eras_;
+  bool live_valid_ = false;  ///< live_ belongs to live_user_
+  Part folded_;  ///< running sums over folded users, in stream order
 };
 
 }  // namespace wildenergy::analysis

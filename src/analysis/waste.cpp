@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "energy/account_file.h"
-
 namespace wildenergy::analysis {
 
 WastedUpdateAnalysis::WastedUpdateAnalysis(std::vector<trace::AppId> apps, Duration useful_window)
@@ -22,12 +20,6 @@ WastedUpdateAnalysis::WastedUpdateAnalysis(std::vector<trace::AppId> apps, Durat
 void WastedUpdateAnalysis::on_study_begin(const trace::StudyMeta& meta) {
   cur_user_ = kNoUser;
   per_app_.assign(apps_.size(), PerApp{});
-  if (spill_ == nullptr && !shard_) {
-    // Fold mode and shard clones never allocate the dense O(apps x users)
-    // partial arrays — that is the entire point of the lifecycle.
-    for (PerApp& pa : per_app_) pa.user_parts.resize(meta.num_users);
-  }
-  spilled_self_ = 0;
   assembler_.on_study_begin(meta);
 }
 
@@ -38,31 +30,21 @@ WastedUpdateAnalysis::PerApp* WastedUpdateAnalysis::slot(trace::AppId app) {
   return &per_app_[index];
 }
 
-WastedUpdateAnalysis::UserPart& WastedUpdateAnalysis::part(PerApp& pa, trace::UserId user) {
-  if (spill_ != nullptr || shard_) {
-    // Stream callbacks only ever touch the live user (the stream is
-    // user-bracketed, and a shard or fold_user holds one user at a time).
-    live_user_ = user;
-    pa.live.touched = true;
-    return pa.live;
+void WastedUpdateAnalysis::fold_live() {
+  for (PerApp& pa : per_app_) {
+    for (const PendingUpdate& update : pa.pending) {
+      ++pa.wasted_updates;
+      pa.live.wasted_joules += update.joules;
+    }
+    pa.pending.clear();
+    pa.folded.joules += pa.live.joules;
+    pa.folded.wasted_joules += pa.live.wasted_joules;
+    pa.live = UserPart{};
   }
-  if (user >= pa.user_parts.size()) pa.user_parts.resize(user + 1);
-  UserPart& out = pa.user_parts[user];
-  out.touched = true;
-  return out;
 }
 
 void WastedUpdateAnalysis::switch_user(trace::UserId user) {
-  if (cur_user_ != kNoUser) {
-    // Updates left pending at a user switch were never followed by use.
-    for (PerApp& pa : per_app_) {
-      for (const PendingUpdate& update : pa.pending) {
-        ++pa.wasted_updates;
-        part(pa, cur_user_).wasted_joules += update.joules;
-      }
-      pa.pending.clear();
-    }
-  }
+  fold_live();
   cur_user_ = user;
 }
 
@@ -77,10 +59,10 @@ void WastedUpdateAnalysis::on_packet(const trace::PacketRecord& packet) {
   if (packet.user != cur_user_) switch_user(packet.user);
   if (trace::is_foreground(packet.state)) {
     // Foreground traffic itself proves the user is looking: settle pending.
-    settle_on_foreground(packet.app, packet.user, packet.time);
+    settle_on_foreground(packet.app, packet.time);
     return;
   }
-  expire(*pa, packet.user, packet.time);
+  expire(*pa, packet.time);
   assembler_.on_packet(packet);
 }
 
@@ -88,20 +70,14 @@ void WastedUpdateAnalysis::on_transition(const trace::StateTransition& transitio
   if (slot(transition.app) == nullptr) return;
   if (transition.user != cur_user_) switch_user(transition.user);
   if (transition.is_bg_to_fg()) {
-    settle_on_foreground(transition.app, transition.user, transition.time);
+    settle_on_foreground(transition.app, transition.time);
   }
 }
 
 void WastedUpdateAnalysis::on_user_end(trace::UserId user) {
   assembler_.on_user_end(user);
   // Remaining pending updates were never followed by use: wasted.
-  for (PerApp& pa : per_app_) {
-    for (const PendingUpdate& update : pa.pending) {
-      ++pa.wasted_updates;
-      part(pa, user).wasted_joules += update.joules;
-    }
-    pa.pending.clear();
-  }
+  fold_live();
   cur_user_ = kNoUser;
 }
 
@@ -109,129 +85,54 @@ void WastedUpdateAnalysis::on_flow(const trace::FlowRecord& flow) {
   PerApp* pa = slot(flow.app);
   if (pa == nullptr) return;
   pa->updates += 1;
-  part(*pa, flow.user).joules += flow.joules;
+  pa->live.joules += flow.joules;
   pa->pending.push_back({flow.last_packet, flow.joules});
 }
 
-void WastedUpdateAnalysis::expire(PerApp& pa, trace::UserId user, TimePoint now) {
+void WastedUpdateAnalysis::expire(PerApp& pa, TimePoint now) {
   while (!pa.pending.empty() && now - pa.pending.front().completed > useful_window_) {
     ++pa.wasted_updates;
-    part(pa, user).wasted_joules += pa.pending.front().joules;
+    pa.live.wasted_joules += pa.pending.front().joules;
     pa.pending.pop_front();
   }
 }
 
-void WastedUpdateAnalysis::settle_on_foreground(trace::AppId app, trace::UserId user,
-                                                TimePoint now) {
+void WastedUpdateAnalysis::settle_on_foreground(trace::AppId app, TimePoint now) {
   assembler_.flush_idle(now);  // surface logically-complete updates first
   PerApp& pa = *slot(app);
-  expire(pa, user, now);  // anything older than the window is still wasted
-  pa.pending.clear();     // remaining updates were fresh when the user looked
+  expire(pa, now);     // anything older than the window is still wasted
+  pa.pending.clear();  // remaining updates were fresh when the user looked
 }
 
 std::unique_ptr<trace::TraceSink> WastedUpdateAnalysis::clone_shard() const {
-  auto shard = std::make_unique<WastedUpdateAnalysis>(apps_, useful_window_);
-  shard->shard_ = true;
-  return shard;
+  return std::make_unique<WastedUpdateAnalysis>(apps_, useful_window_);
 }
 
 void WastedUpdateAnalysis::merge_from(trace::TraceSink& shard) {
   auto& other = dynamic_cast<WastedUpdateAnalysis&>(shard);
+  other.fold_live();  // a shard fed without its closing bracket
   for (std::size_t i = 0; i < per_app_.size(); ++i) {
     PerApp& mine = per_app_[i];
     const PerApp& theirs = other.per_app_[i];
     mine.updates += theirs.updates;
     mine.wasted_updates += theirs.wasted_updates;
-    if (!theirs.live.touched) continue;
-    if (spill_ != nullptr) {
-      // Fold mode: the shard's user becomes the live user the engine's
-      // next fold_user call collapses and spills.
-      mine.live = theirs.live;
-      continue;
-    }
-    UserPart& target = part(mine, other.live_user_);
-    target.joules += theirs.live.joules;
-    target.wasted_joules += theirs.live.wasted_joules;
+    // The shard held one user, so its running sums are that user's split.
+    mine.folded.joules += theirs.folded.joules;
+    mine.folded.wasted_joules += theirs.folded.wasted_joules;
   }
-}
-
-void WastedUpdateAnalysis::fold_user(trace::UserId /*user*/) {
-  if (spill_ == nullptr) return;
-  std::size_t with_parts = 0;
-  for (const PerApp& pa : per_app_) {
-    if (pa.live.touched) ++with_parts;
-  }
-  if (with_parts == 0) return;
-  ckpt::ByteWriter row;
-  row.put_varint(with_parts);
-  std::size_t prev_slot = 0;
-  for (std::size_t i = 0; i < per_app_.size(); ++i) {
-    PerApp& pa = per_app_[i];
-    if (!pa.live.touched) continue;
-    row.put_varint(i - prev_slot);  // slot-ascending delta; the first is absolute
-    prev_slot = i;
-    row.put_f64(pa.live.joules);
-    row.put_f64(pa.live.wasted_joules);
-    // Stream order is ascending user id, so these running sums reproduce the
-    // ascending query-time fold bit for bit.
-    pa.folded_joules += pa.live.joules;
-    pa.folded_wasted_joules += pa.live.wasted_joules;
-    pa.live = UserPart{};
-  }
-  spilled_self_ += spill_->add_section(kWasteSection, row.bytes());
 }
 
 void WastedUpdateAnalysis::save_state(ckpt::ByteWriter& out) const {
-  // Leading mode byte: 0 = dense resident partials (historical body
-  // follows); 1 = fold mode, folded per-app sums first.
-  out.put_u8(spill_ != nullptr ? 1 : 0);
-  if (spill_ != nullptr) {
-    for (const PerApp& pa : per_app_) {
-      out.put_f64(pa.folded_joules);
-      out.put_f64(pa.folded_wasted_joules);
-    }
-    out.put_varint(spilled_self_);
-  }
   out.put_varint(per_app_.size());
   for (const PerApp& pa : per_app_) {
     out.put_varint(pa.updates);
     out.put_varint(pa.wasted_updates);
-    out.put_varint(pa.user_parts.size());
-    for (const UserPart& up : pa.user_parts) {
-      out.put_u8(up.touched ? 1 : 0);
-      if (!up.touched) continue;
-      out.put_f64(up.joules);
-      out.put_f64(up.wasted_joules);
-    }
+    out.put_f64(pa.folded.joules);
+    out.put_f64(pa.folded.wasted_joules);
   }
 }
 
 util::Status WastedUpdateAnalysis::restore_state(ckpt::ByteReader& in) {
-  auto mode = in.get_u8("waste.mode");
-  if (!mode.ok()) return mode.status();
-  if (*mode > 1) {
-    return util::Status::data_loss("corrupt checkpoint: unknown waste mode " +
-                                   std::to_string(*mode));
-  }
-  spilled_self_ = 0;
-  for (PerApp& pa : per_app_) {
-    pa.folded_joules = 0.0;
-    pa.folded_wasted_joules = 0.0;
-    pa.live = UserPart{};
-  }
-  if (*mode == 1) {
-    for (PerApp& pa : per_app_) {
-      auto joules = in.get_f64("waste.folded_joules");
-      if (!joules.ok()) return joules.status();
-      pa.folded_joules = *joules;
-      auto wasted = in.get_f64("waste.folded_wasted_joules");
-      if (!wasted.ok()) return wasted.status();
-      pa.folded_wasted_joules = *wasted;
-    }
-    auto spilled = in.get_varint("waste.spilled_bytes");
-    if (!spilled.ok()) return spilled.status();
-    spilled_self_ = *spilled;
-  }
   auto num_apps = in.get_varint("waste.apps");
   if (!num_apps.ok()) return num_apps.status();
   if (*num_apps != per_app_.size()) {
@@ -240,28 +141,19 @@ util::Status WastedUpdateAnalysis::restore_state(ckpt::ByteReader& in) {
                                    std::to_string(*num_apps));
   }
   for (PerApp& pa : per_app_) {
+    pa = PerApp{};
     auto updates = in.get_varint("waste.updates");
     if (!updates.ok()) return updates.status();
     pa.updates = *updates;
     auto wasted = in.get_varint("waste.wasted_updates");
     if (!wasted.ok()) return wasted.status();
     pa.wasted_updates = *wasted;
-    auto num_users = in.get_varint("waste.user_parts");
-    if (!num_users.ok()) return num_users.status();
-    pa.user_parts.assign(*num_users, UserPart{});
-    pa.pending.clear();
-    for (UserPart& up : pa.user_parts) {
-      auto touched = in.get_u8("waste.part_touched");
-      if (!touched.ok()) return touched.status();
-      if (*touched == 0) continue;
-      up.touched = true;
-      auto joules = in.get_f64("waste.part_joules");
-      if (!joules.ok()) return joules.status();
-      up.joules = *joules;
-      auto wasted_joules = in.get_f64("waste.part_wasted_joules");
-      if (!wasted_joules.ok()) return wasted_joules.status();
-      up.wasted_joules = *wasted_joules;
-    }
+    auto joules = in.get_f64("waste.joules");
+    if (!joules.ok()) return joules.status();
+    pa.folded.joules = *joules;
+    auto wasted_joules = in.get_f64("waste.wasted_joules");
+    if (!wasted_joules.ok()) return wasted_joules.status();
+    pa.folded.wasted_joules = *wasted_joules;
   }
   return util::Status::ok_status();
 }
@@ -276,29 +168,15 @@ WasteResult WastedUpdateAnalysis::result(trace::AppId app) const {
   const PerApp& pa = per_app_[tracked_index_[app]];
   out.updates = pa.updates;
   out.wasted_updates = pa.wasted_updates;
-  // Folded prefix first, then the resident remainder in the same ascending
-  // user order — the identical floating-point fold either way.
-  out.joules = pa.folded_joules;
-  out.wasted_joules = pa.folded_wasted_joules;
-  for (const UserPart& up : pa.user_parts) {
-    if (!up.touched) continue;
-    out.joules += up.joules;
-    out.wasted_joules += up.wasted_joules;
-  }
-  if (pa.live.touched) {
-    out.joules += pa.live.joules;
-    out.wasted_joules += pa.live.wasted_joules;
-  }
+  out.joules = pa.folded.joules + pa.live.joules;
+  out.wasted_joules = pa.folded.wasted_joules + pa.live.wasted_joules;
   return out;
 }
 
 obs::MemoryUse WastedUpdateAnalysis::memory_use() const {
   std::uint64_t total = tracked_index_.capacity() * sizeof(std::uint32_t);
-  for (const PerApp& pa : per_app_) {
-    total += pa.user_parts.capacity() * sizeof(UserPart) +
-             pa.pending.size() * sizeof(PendingUpdate);
-  }
-  return {.resident_bytes = total, .spilled_bytes = spilled_self_};
+  for (const PerApp& pa : per_app_) total += pa.pending.size() * sizeof(PendingUpdate);
+  return {.resident_bytes = total, .spilled_bytes = 0};
 }
 
 }  // namespace wildenergy::analysis

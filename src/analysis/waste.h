@@ -11,9 +11,11 @@
 // with the same idle-gap assembler as Table 1.
 //
 // Data-plane layout (DESIGN.md §12): tracked apps resolve through a dense
-// AppId->slot index, energy partials live in dense per-user arrays, and the
-// pending-update queue is per app for the single live user (the stream is
-// user-bracketed), so the packet path never hashes.
+// AppId->slot index, and the energy partials and pending-update queue are
+// per app for the single live user (the stream is user-bracketed), so the
+// packet path never hashes. A user's partials fold into per-app running sums
+// when the user's bracket ends, so the sink's footprint does not grow with
+// the population.
 #pragma once
 
 #include <cstdint>
@@ -27,14 +29,7 @@
 #include "trace/shardable.h"
 #include "trace/sink.h"
 
-namespace wildenergy::energy {
-class AccountSpill;  // energy/account_file.h
-}
-
 namespace wildenergy::analysis {
-
-/// Section name this sink spills per-user energy splits under.
-inline constexpr const char* kWasteSection = "waste";
 
 struct WasteResult {
   trace::AppId app = 0;
@@ -65,33 +60,21 @@ class WastedUpdateAnalysis final : public trace::TraceSink,
   void on_transition(const trace::StateTransition& transition) override;
   void on_user_end(trace::UserId user) override;
 
-  // ShardableSink: update counts add; joules are kept as per-user partials
-  // and folded in user-id order by result() (trace/shardable.h).
+  // ShardableSink: update counts and the running joule sums add, in stream
+  // order (trace/shardable.h).
   [[nodiscard]] std::unique_ptr<trace::TraceSink> clone_shard() const override;
   void merge_from(trace::TraceSink& shard) override;
 
-  // CheckpointableSink: update counts plus per-user energy partials (pending
-  // queues drain at every user end, so none exist at a checkpoint).
+  // CheckpointableSink: update counts plus the running joule sums (pending
+  // queues and live partials drain at every user end, so none exist at a
+  // checkpoint).
   void save_state(ckpt::ByteWriter& out) const override;
   [[nodiscard]] util::Status restore_state(ckpt::ByteReader& in) override;
-
-  // -- fold-and-release (DESIGN.md §15) --------------------------------------
-  /// Arm fold mode: the dense per-app user_parts arrays are not allocated
-  /// (they are O(apps x users), the sink's entire footprint). The live user
-  /// (fed directly, or merged from a shard) accumulates in one part per
-  /// app; fold_user() folds the completed user's parts into per-app
-  /// running sums (stream order = ascending user id, bit-identical to the
-  /// ascending query-time folds), spills them as a "waste" section, and
-  /// clears them.
-  void set_account_spill(energy::AccountSpill* spill) { spill_ = spill; }
-  [[nodiscard]] bool fold_mode() const { return spill_ != nullptr; }
-  void fold_user(trace::UserId user) override;
 
   [[nodiscard]] WasteResult result(trace::AppId app) const;
   [[nodiscard]] const std::vector<trace::AppId>& tracked() const { return apps_; }
 
-  /// Approximate resident footprint: per-user energy partials plus the
-  /// pending-update queues.
+  /// Approximate resident footprint: the pending-update queues.
   [[nodiscard]] obs::MemoryUse memory_use() const override;
 
  private:
@@ -99,36 +82,33 @@ class WastedUpdateAnalysis final : public trace::TraceSink,
     TimePoint completed;
     double joules = 0.0;
   };
-  /// Energy partials for one user; all of a user's updates settle within
+  /// Energy split of the live user; all of a user's updates settle within
   /// that user's stream, so the split is exact.
   struct UserPart {
     double joules = 0.0;
     double wasted_joules = 0.0;
-    bool touched = false;
   };
   struct PerApp {
     std::uint64_t updates = 0;
     std::uint64_t wasted_updates = 0;
-    std::vector<UserPart> user_parts;  ///< dense by UserId (resident mode only)
     /// Current user's not-yet-settled updates (one user is live at a time).
     std::deque<PendingUpdate> pending;
-    UserPart live;  ///< the live user's partial (fold mode, shard clones)
-    // Fold-and-release state (unused outside fold mode).
-    double folded_joules = 0.0;
-    double folded_wasted_joules = 0.0;
+    UserPart live;
+    UserPart folded;  ///< running sums over folded users, in stream order
   };
   static constexpr std::uint32_t kUntracked = UINT32_MAX;
   static constexpr trace::UserId kNoUser = UINT32_MAX;
 
   /// Tracked slot for `app`, or nullptr when the app is not a study subject.
   PerApp* slot(trace::AppId app);
-  UserPart& part(PerApp& pa, trace::UserId user);
-  /// Flush the previous user's pending updates (never looked at: wasted)
-  /// and make `user` current.
+  /// Flush the current user's pending updates (never looked at: wasted) and
+  /// fold its partials into the running sums.
+  void fold_live();
+  /// Fold the previous user and make `user` current.
   void switch_user(trace::UserId user);
   void on_flow(const trace::FlowRecord& flow);
-  void expire(PerApp& pa, trace::UserId user, TimePoint now);
-  void settle_on_foreground(trace::AppId app, trace::UserId user, TimePoint now);
+  void expire(PerApp& pa, TimePoint now);
+  void settle_on_foreground(trace::AppId app, TimePoint now);
 
   std::vector<trace::AppId> apps_;
   std::vector<std::uint32_t> tracked_index_;  ///< AppId -> per_app_ slot
@@ -136,15 +116,6 @@ class WastedUpdateAnalysis final : public trace::TraceSink,
   trace::UserId cur_user_ = kNoUser;
   std::vector<PerApp> per_app_;  ///< one slot per tracked app, in apps_ order
   trace::FlowAssembler assembler_;
-
-  /// Made by clone_shard(): holds its one user in the live parts, so its
-  /// footprint does not depend on the population.
-  bool shard_ = false;
-  trace::UserId live_user_ = kNoUser;  ///< owner of the live parts
-
-  // Fold-and-release state (zero outside fold mode).
-  energy::AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine
-  std::uint64_t spilled_self_ = 0;
 };
 
 }  // namespace wildenergy::analysis

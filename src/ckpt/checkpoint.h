@@ -31,7 +31,7 @@
 namespace wildenergy::ckpt {
 
 inline constexpr char kCheckpointMagic[4] = {'W', 'E', 'C', 'K'};
-inline constexpr std::uint8_t kCheckpointVersion = 1;
+inline constexpr std::uint8_t kCheckpointVersion = 2;
 
 struct Snapshot {
   trace::StudyMeta meta;

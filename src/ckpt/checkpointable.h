@@ -1,8 +1,9 @@
 // Checkpointable sinks: the persistence face of the ShardableSink protocol.
 //
 // A ShardableSink (trace/shardable.h) already keeps its cross-user state as
-// per-user partials merged in user-id order — exactly the state a resumed
-// process needs to rebuild. CheckpointableSink adds the two dual operations:
+// running sums folded in stream order (plus, in the ledger and persistence
+// sinks, per-user detail rows) — exactly the state a resumed process needs
+// to rebuild. CheckpointableSink adds the two dual operations:
 // save_state() serializes that merge-protocol state into a ByteWriter, and
 // restore_state() rebuilds it *bit-exactly* from a ByteReader (doubles travel
 // as raw IEEE bits, insertion orders are preserved), so a killed-and-resumed
@@ -11,7 +12,7 @@
 // Contract: checkpoints are taken at user boundaries only, after merge. Every
 // built-in sink resets its per-user transient state on on_user_end/user
 // switch, so save_state() never has to serialize mid-user scratch — only the
-// durable per-user partials and study-wide counters.
+// running sums, detail rows and study-wide counters.
 #pragma once
 
 #include "ckpt/codec.h"

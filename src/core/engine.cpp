@@ -312,7 +312,7 @@ struct WalkRun {
   std::vector<std::unique_ptr<CollectSpliceSink>> adapters;
   std::vector<trace::ShardableSink*> shardable;  ///< parallel to walk->sinks
   std::vector<trace::TraceSink*> parents;        ///< the same objects, as sinks
-  std::vector<trace::UserId> completed;  ///< merged users, this run and resumed
+  std::vector<trace::UserId> completed;  ///< merged users, this run and resumed; sorted
   std::vector<trace::UserId> skip;       ///< sorted: users a checkpoint covers
   std::uint64_t dropped_packets = 0;
   std::uint64_t dropped_bytes = 0;
@@ -362,7 +362,6 @@ class Engine {
       }
       w.stats->serial_fallback_sinks = wr.adapters.size();
       // Re-armed on every run: nullptr disarms sinks an earlier run armed.
-      w.attributor->set_account_spill(w.spill);
       for (auto* s : wr.shardable) s->set_account_spill(w.spill);
     }
 
@@ -426,6 +425,7 @@ class Engine {
           return st;
         }
         wr.completed = resumed->completed_users;
+        std::sort(wr.completed.begin(), wr.completed.end());
         w.stats->shard_retries = resumed->counter("shard_retries");
         w.stats->failed_users.assign(resumed->failed_users.begin(), resumed->failed_users.end());
         wr.dropped_packets = resumed->counter("off_interface_packets");
@@ -454,6 +454,15 @@ class Engine {
   }
 
   [[nodiscard]] std::size_t first_walk() const { return current_; }
+  /// The refusal of a user whose bracket a forward-only stream opens again
+  /// after the walk merged it: merging the second bracket would overwrite the
+  /// first in the ledger.
+  [[nodiscard]] util::Status reopened(std::size_t walk, trace::UserId user) const {
+    const std::string& name = runs_[walk].walk->name;
+    return util::Status::data_loss((name.empty() ? "" : "scenario '" + name + "': ") + "user " +
+                                   std::to_string(user) +
+                                   " appears in a second bracket after its first was merged");
+  }
   [[nodiscard]] bool skip(std::size_t walk, trace::UserId user) const {
     const auto& skip = runs_[walk].skip;
     return std::binary_search(skip.begin(), skip.end(), user);
@@ -542,6 +551,9 @@ class Engine {
     obs::RunStats& stats = *w.stats;
     const std::size_t walk = shard->walk;
     const trace::UserId user = shard->user;
+    if (std::binary_search(wr.completed.begin(), wr.completed.end(), user)) {
+      return reopened(walk, user);
+    }
     if (options_.failure_policy == FailurePolicy::kRetryThenSkip) {
       for (unsigned retry = 0; !shard->error.ok() && retry < options_.max_shard_retries;
            ++retry) {
@@ -579,24 +591,26 @@ class Engine {
         }
         wr.source_ms += std::max(0.0, shard->wall_ms - accounted_ms);
       }
+      // Merging folds the user into the parents' running sums; fold_user
+      // then spills and releases the detail rows of the sinks that keep
+      // them, when an account spill is armed.
       w.attributor->merge_from(*shard->attributor);
       for (std::size_t i = 0; i < wr.shardable.size(); ++i) {
         wr.shardable[i]->merge_from(*shard->clones[i]);
       }
-      if (w.spill != nullptr) {
-        // Fold-and-release: the user's detail just landed in the parents.
-        w.spill->begin_user(user);
-        w.attributor->fold_user(user);
-        for (auto* s : wr.shardable) s->fold_user(user);
-        w.spill->end_user();
-      }
+      if (w.spill != nullptr) w.spill->begin_user(user);
+      for (auto* s : wr.shardable) s->fold_user(user);
+      if (w.spill != nullptr) w.spill->end_user();
       wr.dropped_packets += shard->filter->dropped_packets();
       wr.dropped_bytes += shard->filter->dropped_bytes();
       for (std::size_t c = 0; c < std::size(kRadioCounters); ++c) {
         wr.radio[c] += shard->registry.counter_value(kRadioCounters[c]);
       }
       obs::MetricsRegistry::global().merge_from(shard->registry);
-      wr.completed.push_back(user);
+      // Kept sorted for the duplicate check; streams arrive ascending, so
+      // this is an append.
+      wr.completed.insert(std::upper_bound(wr.completed.begin(), wr.completed.end(), user),
+                          user);
     }
     if (obs::TraceWriter* writer = options_.trace_writer; writer != nullptr) {
       writer->add_complete("user " + std::to_string(user), "shard", shard->span_start_us,
@@ -768,7 +782,17 @@ class InlineDriver final : public trace::TraceSink {
     status_ = engine_.begin(meta, meta.num_users);
   }
   void on_user_begin(trace::UserId user) override {
-    if (!status_.ok() || engine_.skip(0, user)) return;
+    if (!status_.ok()) return;
+    if (engine_.skip(0, user)) {
+      // A resumed checkpoint covers the user's bracket once; another one is
+      // a reopened user like any other.
+      if (std::binary_search(skipped_.begin(), skipped_.end(), user)) {
+        status_ = engine_.reopened(0, user);
+      } else {
+        skipped_.insert(std::upper_bound(skipped_.begin(), skipped_.end(), user), user);
+      }
+      return;
+    }
     shard_ = engine_.build(0, user);
     scope_.emplace(&shard_->registry);
     shard_->attempts = 1;
@@ -803,6 +827,7 @@ class InlineDriver final : public trace::TraceSink {
   trace::StudyMeta meta_;
   util::Status status_;
   std::unique_ptr<ShardChain> shard_;
+  std::vector<trace::UserId> skipped_;  ///< sorted: checkpointed users seen
   std::optional<obs::ScopedMetricsRegistry> scope_;
   obs::Stopwatch watch_;
 };

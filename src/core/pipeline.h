@@ -125,15 +125,15 @@ struct PipelineOptions {
   /// with a positioned status — resume never silently restarts from zero.
   bool resume = false;
   /// Directory for spilled per-user account detail rows (CLI --account-dir).
-  /// Empty (default) keeps every sink fully resident — the classic
-  /// lifecycle. When set, the run goes fold-and-release (DESIGN.md §15):
-  /// as each user's shard merges, the engine folds every opted-in
-  /// sink (attributor, ledger, analyses), the folded detail rows spill to
-  /// WEAC account files under this directory, and the per-user slabs are
-  /// freed — so resident detail memory stays bounded by the spill budget
-  /// instead of growing with the population. Aggregates and every
-  /// cursor-based figure are bit-identical to a resident run. Resuming a
-  /// checkpointed fold run must pass the same directory.
+  /// Every run folds each user into the sinks' running sums as its shard
+  /// merges (DESIGN.md §15). Empty (default) keeps the detail rows — the
+  /// ledger's accounts, the persistence and case-study samples — resident.
+  /// When set, those rows spill to WEAC account files under this directory
+  /// as each user folds, and are freed — so resident detail memory stays
+  /// bounded by the spill budget instead of growing with the population.
+  /// Aggregates and every cursor-based figure are bit-identical to a
+  /// resident run. Resuming a checkpointed spilling run must pass the same
+  /// directory.
   std::string account_dir;
   /// Soft budget for the account spill plane (CLI --account-budget); the
   /// pending writer seals to disk as it fills so resident account bytes

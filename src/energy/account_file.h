@@ -5,8 +5,8 @@
 // into running aggregates and release the slab — but several consumers
 // (what-if replays, per-user figures, persistence CDFs) still need the
 // per-user detail rows. Those rows are spilled here: one *row group* per
-// user, each holding named byte sections ("ledger", "attrib", "persist",
-// ...) encoded by the owning sink with ckpt/codec.h primitives. Groups land
+// user, each holding named byte sections ("ledger", "persist", "case")
+// encoded by the owning sink with ckpt/codec.h primitives. Groups land
 // in stream order, so reading the files back in sequence replays every
 // user's detail in exactly the order a fully resident run would have
 // iterated them.

@@ -1,10 +1,8 @@
 #include "energy/attributor.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
-#include "energy/account_file.h"
 #include "radio/burst_machine.h"
 
 namespace wildenergy::energy {
@@ -22,6 +20,16 @@ void AttributionCounters::merge_from(const AttributionCounters& other) {
   idle_segments += other.idle_segments;
 }
 
+EnergyAttributor::UserEnergy& EnergyAttributor::UserEnergy::operator+=(const UserEnergy& other) {
+  device += other.device;
+  attributed += other.attributed;
+  baseline += other.baseline;
+  tail += other.tail;
+  promotion += other.promotion;
+  transfer += other.transfer;
+  return *this;
+}
+
 EnergyAttributor::EnergyAttributor(RadioModelFactory factory, trace::TraceSink* downstream,
                                    TailPolicy policy)
     : factory_(std::move(factory)),
@@ -35,52 +43,22 @@ EnergyAttributor::EnergyAttributor(RadioModelFactory factory, trace::TraceSink* 
 
 std::unique_ptr<EnergyAttributor> EnergyAttributor::clone_shard(
     trace::TraceSink* downstream) const {
-  auto shard = std::make_unique<EnergyAttributor>(factory_, downstream, policy_);
-  shard->shard_ = true;
-  return shard;
+  return std::make_unique<EnergyAttributor>(factory_, downstream, policy_);
 }
 
 void EnergyAttributor::on_study_begin(const trace::StudyMeta& meta) {
   meta_ = meta;
-  if (spill_ == nullptr && !shard_) {
-    per_user_.assign(meta.num_users, UserEnergy{});
-    user_touched_.assign(meta.num_users, false);
-  } else {
-    // Fold mode and shard clones never allocate the dense per-user array:
-    // one live slot is the whole per-user footprint.
-    per_user_.clear();
-    user_touched_.clear();
-  }
   folded_ = UserEnergy{};
-  live_valid_ = false;
-  spilled_self_ = 0;
-  current_ = nullptr;
+  live_ = UserEnergy{};
   counters_ = {};
   downstream_->on_study_begin(meta);
 }
 
 void EnergyAttributor::on_user_begin(trace::UserId user) {
+  fold_user(user);  // a previous user left open by a bracket-less stream
   ++counters_.users;
   model_ = factory_();
   burst_ = dynamic_cast<radio::BurstMachine*>(model_.get());
-  if (spill_ != nullptr || shard_) {
-    live_ = UserEnergy{};
-    live_user_ = user;
-    live_valid_ = true;
-    current_ = &live_;
-  } else {
-    if (user >= per_user_.size()) {
-      // Out-of-hint ids (hand-built streams with a zero StudyMeta) grow the
-      // array geometrically — the old exact resize(user + 1) re-touched
-      // every slot once per new user, quadratic over a cold stream.
-      const std::size_t grown =
-          std::max<std::size_t>(user + 1, per_user_.size() + per_user_.size() / 2);
-      per_user_.resize(grown);
-      user_touched_.resize(grown, false);
-    }
-    current_ = &per_user_[user];
-    user_touched_[user] = true;
-  }
   window_.clear();
   held_transitions_.clear();
   pending_tail_ = 0.0;
@@ -89,19 +67,18 @@ void EnergyAttributor::on_user_begin(trace::UserId user) {
 }
 
 void EnergyAttributor::handle_segment(const radio::EnergySegment& segment) {
-  assert(current_ != nullptr);
-  current_->device += segment.joules;
+  live_.device += segment.joules;
   switch (segment.kind) {
     case radio::SegmentKind::kIdle:
       ++counters_.idle_segments;
-      current_->baseline += segment.joules;
+      live_.baseline += segment.joules;
       flush_pending();  // the radio went idle: the active window is over
       break;
     case radio::SegmentKind::kTail:
       ++counters_.tail_segments;
       counters_.drx_segments += segment.drx ? 1 : 0;
-      current_->tail += segment.joules;
-      current_->attributed += segment.joules;
+      live_.tail += segment.joules;
+      live_.attributed += segment.joules;
       assert(!window_.empty());
       if (policy_ == TailPolicy::kLastPacket) {
         ++counters_.tail_attributions;
@@ -112,14 +89,14 @@ void EnergyAttributor::handle_segment(const radio::EnergySegment& segment) {
       break;
     case radio::SegmentKind::kPromotion:
       ++counters_.promotion_segments;
-      current_->promotion += segment.joules;
-      current_->attributed += segment.joules;
+      live_.promotion += segment.joules;
+      live_.attributed += segment.joules;
       current_joules_ += segment.joules;
       break;
     case radio::SegmentKind::kTransfer:
       ++counters_.transfer_segments;
-      current_->transfer += segment.joules;
-      current_->attributed += segment.joules;
+      live_.transfer += segment.joules;
+      live_.attributed += segment.joules;
       current_joules_ += segment.joules;
       break;
   }
@@ -267,137 +244,21 @@ void EnergyAttributor::on_user_end(trace::UserId user) {
     model_->finish(meta_.study_end, segment_sink_);
   }
   flush_pending();
+  fold_user(user);
   downstream_->on_user_end(user);
 }
 
 void EnergyAttributor::on_study_end() { downstream_->on_study_end(); }
 
-// The fold visits touched users in ascending id, matching the user-bracket
-// order of a serial pass and the merge order of a sharded one.
-double EnergyAttributor::device_joules() const {
-  double total = folded_.device;
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (user_touched_[user]) total += per_user_[user].device;
-  }
-  if (live_valid_) total += live_.device;
-  return total;
-}
-
-double EnergyAttributor::attributed_joules() const {
-  double total = folded_.attributed;
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (user_touched_[user]) total += per_user_[user].attributed;
-  }
-  if (live_valid_) total += live_.attributed;
-  return total;
-}
-
-double EnergyAttributor::baseline_joules() const {
-  double total = folded_.baseline;
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (user_touched_[user]) total += per_user_[user].baseline;
-  }
-  if (live_valid_) total += live_.baseline;
-  return total;
-}
-
-double EnergyAttributor::tail_joules() const {
-  double total = folded_.tail;
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (user_touched_[user]) total += per_user_[user].tail;
-  }
-  if (live_valid_) total += live_.tail;
-  return total;
-}
-
-double EnergyAttributor::promotion_joules() const {
-  double total = folded_.promotion;
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (user_touched_[user]) total += per_user_[user].promotion;
-  }
-  if (live_valid_) total += live_.promotion;
-  return total;
-}
-
-double EnergyAttributor::transfer_joules() const {
-  double total = folded_.transfer;
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (user_touched_[user]) total += per_user_[user].transfer;
-  }
-  if (live_valid_) total += live_.transfer;
-  return total;
-}
-
-// --- fold-and-release ------------------------------------------------------
-
-void EnergyAttributor::fold_user(trace::UserId user) {
-  if (spill_ == nullptr || !live_valid_ || live_user_ != user) return;
-  const UserEnergy* row = &live_;
-  // Folds arrive in stream order (ascending user id): the same addition
-  // sequence the query-time loops perform over a dense resident array.
-  folded_.device += row->device;
-  folded_.attributed += row->attributed;
-  folded_.baseline += row->baseline;
-  folded_.tail += row->tail;
-  folded_.promotion += row->promotion;
-  folded_.transfer += row->transfer;
-  ckpt::ByteWriter out;
-  out.put_f64(row->device);
-  out.put_f64(row->attributed);
-  out.put_f64(row->baseline);
-  out.put_f64(row->tail);
-  out.put_f64(row->promotion);
-  out.put_f64(row->transfer);
-  spilled_self_ += spill_->add_section("attrib", out.bytes());
-  live_valid_ = false;
-  current_ = nullptr;
-}
-
-util::Status EnergyAttributor::decode_user_energy(std::string_view payload, UserEnergy& out) {
-  ckpt::ByteReader in{payload};
-  for (double* field : {&out.device, &out.attributed, &out.baseline, &out.tail, &out.promotion,
-                        &out.transfer}) {
-    const auto v = in.get_f64("attrib row energy");
-    if (!v.ok()) return v.status();
-    *field = *v;
-  }
-  if (!in.at_end()) {
-    return util::Status::data_loss("attrib row: trailing bytes at offset " +
-                                   std::to_string(in.offset()));
-  }
-  return util::Status::ok_status();
-}
-
-obs::MemoryUse EnergyAttributor::memory_use() const {
-  return {.resident_bytes = per_user_.capacity() * sizeof(UserEnergy) +
-                            user_touched_.capacity() / 8,
-          .spilled_bytes = spilled_self_};
+void EnergyAttributor::fold_user(trace::UserId /*user*/) {
+  folded_ += live_;
+  live_ = UserEnergy{};
 }
 
 void EnergyAttributor::save_state(ckpt::ByteWriter& out) const {
-  // Leading mode byte: 0 = dense resident partials (historical body
-  // follows); 1 = fold mode, folded aggregates first.
-  out.put_u8(spill_ != nullptr ? 1 : 0);
-  if (spill_ != nullptr) {
-    out.put_f64(folded_.device);
-    out.put_f64(folded_.attributed);
-    out.put_f64(folded_.baseline);
-    out.put_f64(folded_.tail);
-    out.put_f64(folded_.promotion);
-    out.put_f64(folded_.transfer);
-    out.put_varint(spilled_self_);
-  }
-  out.put_varint(per_user_.size());
-  out.put_bool_vec(user_touched_);
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (!user_touched_[user]) continue;
-    const UserEnergy& e = per_user_[user];
-    out.put_f64(e.device);
-    out.put_f64(e.attributed);
-    out.put_f64(e.baseline);
-    out.put_f64(e.tail);
-    out.put_f64(e.promotion);
-    out.put_f64(e.transfer);
+  for (const double v : {folded_.device, folded_.attributed, folded_.baseline, folded_.tail,
+                         folded_.promotion, folded_.transfer}) {
+    out.put_f64(v);
   }
   const std::uint64_t counters[] = {
       counters_.packets,         counters_.transitions,        counters_.users,
@@ -409,48 +270,17 @@ void EnergyAttributor::save_state(ckpt::ByteWriter& out) const {
 }
 
 util::Status EnergyAttributor::restore_state(ckpt::ByteReader& in) {
-  auto mode = in.get_u8("attributor.mode");
-  if (!mode.ok()) return mode.status();
-  if (*mode > 1) {
-    return util::Status::data_loss("corrupt checkpoint: unknown attributor mode " +
-                                   std::to_string(*mode));
-  }
-  folded_ = UserEnergy{};
-  spilled_self_ = 0;
-  live_valid_ = false;
-  if (*mode == 1) {
-    for (double* field : {&folded_.device, &folded_.attributed, &folded_.baseline, &folded_.tail,
-                          &folded_.promotion, &folded_.transfer}) {
-      auto v = in.get_f64("attributor.folded");
-      if (!v.ok()) return v.status();
-      *field = *v;
-    }
-    auto spilled = in.get_varint("attributor.folded.spilled_bytes");
-    if (!spilled.ok()) return spilled.status();
-    spilled_self_ = *spilled;
-  }
-  auto num_users = in.get_varint("attributor.users");
-  if (!num_users.ok()) return num_users.status();
-  auto status = in.get_bool_vec(user_touched_, "attributor.touched");
-  if (!status.ok()) return status;
-  if (user_touched_.size() != *num_users) {
-    return util::Status::data_loss("corrupt checkpoint: attributor touched flags mismatch");
-  }
-  per_user_.assign(*num_users, UserEnergy{});
-  current_ = nullptr;
-  for (std::size_t user = 0; user < per_user_.size(); ++user) {
-    if (!user_touched_[user]) continue;
-    UserEnergy& e = per_user_[user];
-    for (double* field : {&e.device, &e.attributed, &e.baseline, &e.tail, &e.promotion,
-                          &e.transfer}) {
-      auto v = in.get_f64("attributor.energy");
-      if (!v.ok()) return v.status();
-      *field = *v;
-    }
+  live_ = UserEnergy{};
+  for (double* field : {&folded_.device, &folded_.attributed, &folded_.baseline, &folded_.tail,
+                        &folded_.promotion, &folded_.transfer}) {
+    auto v = in.get_f64("attributor.energy");
+    if (!v.ok()) return v.status();
+    *field = *v;
   }
   std::uint64_t counters[10] = {};
-  status = in.get_u64_span(counters, "attributor.counters");
-  if (!status.ok()) return status;
+  if (util::Status status = in.get_u64_span(counters, "attributor.counters"); !status.ok()) {
+    return status;
+  }
   counters_.packets = counters[0];
   counters_.transitions = counters[1];
   counters_.users = counters[2];
@@ -466,25 +296,10 @@ util::Status EnergyAttributor::restore_state(ckpt::ByteReader& in) {
 
 void EnergyAttributor::merge_from(const EnergyAttributor& shard) {
   counters_.merge_from(shard.counters_);
-  if (shard.live_valid_ && spill_ != nullptr) {
-    live_ = shard.live_;
-    live_user_ = shard.live_user_;
-    live_valid_ = true;
-    return;
-  }
-  const auto place = [this](std::size_t user, const UserEnergy& energy) {
-    if (user >= per_user_.size()) {
-      per_user_.resize(user + 1);
-      user_touched_.resize(user + 1, false);
-    }
-    assert(!user_touched_[user]);
-    per_user_[user] = energy;
-    user_touched_[user] = true;
-  };
-  if (shard.live_valid_) place(shard.live_user_, shard.live_);
-  for (std::size_t user = 0; user < shard.per_user_.size(); ++user) {
-    if (shard.user_touched_[user]) place(user, shard.per_user_[user]);
-  }
+  // The shard held one user: its running sums are that user's partials
+  // exactly (0.0 + x == x), and a still-live user adds after them.
+  folded_ += shard.folded_;
+  folded_ += shard.live_;
 }
 
 }  // namespace wildenergy::energy

@@ -95,8 +95,7 @@ struct AttributionCounters {
 
 class EnergyAttributor final : public trace::TraceSink, public ckpt::CheckpointableSink {
  public:
-  /// Energy partials for one user — kept per user so cross-user double sums
-  /// fold in user-id order (see determinism note below).
+  /// Energy split of a user or of the whole study.
   struct UserEnergy {
     double device = 0.0;
     double attributed = 0.0;
@@ -104,6 +103,8 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
     double tail = 0.0;
     double promotion = 0.0;
     double transfer = 0.0;
+
+    UserEnergy& operator+=(const UserEnergy& other);
   };
 
   /// `downstream` receives the energy-annotated stream; it must outlive this.
@@ -122,54 +123,43 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   /// Bit-identical to the per-record path for every batch size.
   void on_batch(const trace::EventBatch& batch) override;
 
-  // Study-wide energy totals. Each is kept as per-user partial sums and
-  // folded in user-id order here, so a sharded run merged in user order
-  // yields bit-identical values to the serial pass (trace/shardable.h).
+  // Study-wide energy totals: the running sums over folded users plus the
+  // live user. Users fold in stream order, so a sharded run merged in stream
+  // order yields bit-identical values to the serial pass (trace/shardable.h).
 
   /// Total energy of every segment (incl. idle baseline) — the device total.
-  [[nodiscard]] double device_joules() const;
+  [[nodiscard]] double device_joules() const { return folded_.device + live_.device; }
   /// Energy attributed to apps (promotion + transfer + tail).
-  [[nodiscard]] double attributed_joules() const;
+  [[nodiscard]] double attributed_joules() const { return folded_.attributed + live_.attributed; }
   /// Idle/paging baseline energy (never attributed).
-  [[nodiscard]] double baseline_joules() const;
-  [[nodiscard]] double tail_joules() const;
-  [[nodiscard]] double promotion_joules() const;
-  [[nodiscard]] double transfer_joules() const;
+  [[nodiscard]] double baseline_joules() const { return folded_.baseline + live_.baseline; }
+  [[nodiscard]] double tail_joules() const { return folded_.tail + live_.tail; }
+  [[nodiscard]] double promotion_joules() const { return folded_.promotion + live_.promotion; }
+  [[nodiscard]] double transfer_joules() const { return folded_.transfer + live_.transfer; }
   /// Event counters for this run (reset on each study begin).
   [[nodiscard]] const AttributionCounters& counters() const { return counters_; }
 
   /// A fresh attributor with this one's radio factory and tail policy,
-  /// streaming into `downstream`, for one user's shard. It holds only the
-  /// user it is fed, so its footprint does not depend on the population.
+  /// streaming into `downstream`, for one user's shard.
   [[nodiscard]] std::unique_ptr<EnergyAttributor> clone_shard(trace::TraceSink* downstream) const;
 
-  /// Fold another attributor's per-user energy and counters into this one
-  /// (called by the engine in user-id order; users must be disjoint). A
-  /// clone_shard() shard lands at its user's id, or — in fold mode — as the
-  /// live row the engine's next fold_user call collapses.
+  /// Fold another attributor that held one user — a clone_shard() shard or
+  /// any attributor fed one user's bracket — into this one's running sums and
+  /// counters. Called by the engine in stream order.
   void merge_from(const EnergyAttributor& shard);
 
-  // -- fold-and-release (DESIGN.md §15) -------------------------------------
-  /// Arm fold mode: the dense per-user partial array is not allocated at
-  /// all. The live user (fed directly, or merged from a shard) sits in a
-  /// single slot. fold_user() then folds the completed
-  /// user's partials into the study-wide accumulators (in stream order —
-  /// bit-identical to the ascending query-time folds), spills them as an
-  /// "attrib" row-group section, and drops the row.
-  void set_account_spill(AccountSpill* spill) { spill_ = spill; }
-  [[nodiscard]] bool fold_mode() const { return spill_ != nullptr; }
-  /// The engine calls this explicitly (the attributor sits above the fan-out
-  /// and is not a ShardableSink).
+  /// Fold the live user's partials into the running sums. Runs at every user
+  /// bracket's end and the next user's begin, so an explicit call only
+  /// matters mid-bracket; otherwise it adds nothing.
   void fold_user(trace::UserId user);
-  /// Decode one spilled "attrib" section (the fold_user encode mirror).
-  [[nodiscard]] static util::Status decode_user_energy(std::string_view payload,
-                                                       UserEnergy& out);
+  /// A no-op: the attributor keeps no per-user detail rows to spill. Kept so
+  /// callers that arm every sink of a fold-and-release run alike
+  /// (perfbench/wildbench.cpp) still compile.
+  void set_account_spill(AccountSpill* /*spill*/) {}
 
-  [[nodiscard]] obs::MemoryUse memory_use() const override;
-
-  // CheckpointableSink: per-user energy partials (raw double bits) plus the
-  // attribution counters. Per-packet transients (window_, pending tails) are
-  // empty at user boundaries, so only the durable fold state travels.
+  // CheckpointableSink: the running sums (raw double bits) plus the
+  // attribution counters. Snapshots are taken between users, when nothing
+  // is live and per-packet transients (window_, pending tails) are empty.
   void save_state(ckpt::ByteWriter& out) const override;
   [[nodiscard]] util::Status restore_state(ckpt::ByteReader& in) override;
 
@@ -208,23 +198,9 @@ class EnergyAttributor final : public trace::TraceSink, public ckpt::Checkpointa
   double pending_tail_ = 0.0;   ///< tail energy awaiting proportional split
   double current_joules_ = 0.0; ///< promo+transfer energy of the packet being fed
 
-  // Per-user energy partials, dense by UserId (DESIGN.md §12). touched_
-  // marks users that actually began a bracket so the query-time folds visit
-  // exactly the users the old associative layout held — same fold sequence,
-  // bit-identical sums.
-  std::vector<UserEnergy> per_user_;
-  std::vector<bool> user_touched_;
-  UserEnergy* current_ = nullptr;  ///< this user's partials (set in on_user_begin)
+  UserEnergy folded_;  ///< running sums over folded users, in stream order
+  UserEnergy live_;    ///< the live user's partials
   AttributionCounters counters_;
-
-  // Fold-and-release state (all empty/zero outside fold mode).
-  AccountSpill* spill_ = nullptr;  ///< non-owning; armed by the engine
-  std::uint64_t spilled_self_ = 0;
-  UserEnergy folded_;              ///< study-wide fold over released users
-  UserEnergy live_;  ///< the live user's partials (fold mode, shard clones)
-  trace::UserId live_user_ = 0;
-  bool live_valid_ = false;
-  bool shard_ = false;  ///< made by clone_shard(): holds one user, in live_
 
   // Hoisted sink adapters (building a std::function per packet was a
   // measurable per-record cost) and reused batch-path scratch state.

@@ -1,6 +1,8 @@
 // Tests for the Table 1 case-study analysis (analysis/case_studies.h).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/case_studies.h"
 
 namespace wildenergy::analysis {
@@ -63,6 +65,29 @@ TEST(CaseStudies, DaysActiveCountsUserDays) {
   cases.on_user_end(1);
   cases.on_study_end();
   EXPECT_EQ(cases.result(1).days_active, 3u);  // (u0,d0), (u0,d1), (u1,d0)
+}
+
+TEST(CaseStudies, DaysActiveIgnoresTheHeaderUserCount) {
+  // A header-less or hand-built trace may announce no users at all; the day
+  // count must not depend on the announced population.
+  for (const std::uint32_t announced : {3u, 0u}) {
+    SCOPED_TRACE("announced users=" + std::to_string(announced));
+    trace::StudyMeta meta = meta_days(12.0);
+    meta.num_users = announced;
+    CaseStudyAnalysis cases{{1}};
+    cases.on_study_begin(meta);
+    for (trace::UserId user = 0; user < 3; ++user) {
+      cases.on_user_begin(user);
+      for (const double day : {0.0, 3.0, 6.0, 9.0}) {
+        cases.on_packet(pkt(day * 86400.0 + 100.0, user, 1, ProcessState::kService));
+      }
+      cases.on_user_end(user);
+    }
+    cases.on_study_end();
+    const CaseStudyResult r = cases.result(1);
+    EXPECT_EQ(r.days_active, 12u);
+    EXPECT_NEAR(r.joules_per_day(), 2.0, 1e-9);
+  }
 }
 
 TEST(CaseStudies, DetectsEraPeriods) {

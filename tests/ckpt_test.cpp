@@ -16,8 +16,11 @@
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/codec.h"
+#include "core/pipeline.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
+#include "sim/generator.h"
+#include "sim/population.h"
 #include "trace/sink.h"
 #include "util/status.h"
 
@@ -345,6 +348,56 @@ TEST(CheckpointCorruption, AllCheckpointsDamagedIsDataLossNotSilence) {
   const auto loaded = ckpt::CheckpointReader::load_latest(dir.string());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kDataLoss);
+  fs::remove_all(dir);
+}
+
+// ----------------------------------------------------------- versioning
+
+/// Re-frame an encoded checkpoint as `version`, with a valid checksum — what
+/// a build that wrote that version would have left on disk.
+std::string with_version(std::string bytes, std::uint8_t version) {
+  bytes.resize(bytes.size() - 8);  // drop the checksum trailer
+  bytes[sizeof(ckpt::kCheckpointMagic)] = static_cast<char>(version);
+  const std::uint64_t checksum = ckpt::fnv1a(bytes);
+  for (int shift = 0; shift < 64; shift += 8) {
+    bytes.push_back(static_cast<char>((checksum >> shift) & 0xFF));
+  }
+  return bytes;
+}
+
+TEST(CheckpointVersion, OlderSinkLayoutIsRefusedBeforeAnySectionDecodes) {
+  // Version 2 changed the sink sections' layout (running sums replaced the
+  // per-user arrays), so a version-1 checkpoint must be refused up front.
+  ASSERT_EQ(ckpt::kCheckpointVersion, 2);
+  const fs::path dir = scratch_dir("old_version");
+  sim::PopulationConfig population;
+  population.num_users = 3;
+  population.num_days = 2;
+  const sim::StudyConfig cfg = population.study();
+  core::PipelineOptions options;
+  options.checkpoint_dir = dir.string();
+  options.checkpoint_every_users = 1;
+  {
+    sim::StudyGenerator generator{cfg};
+    core::StudyPipeline pipeline{&generator, options};
+    ASSERT_TRUE(pipeline.run().ok());
+  }
+  std::size_t rewritten = 0;
+  for (const auto& entry : fs::directory_iterator{dir}) {
+    write_file(entry.path(), with_version(read_file(entry.path()), 1));
+    ++rewritten;
+  }
+  ASSERT_GT(rewritten, 0u);
+
+  sim::StudyGenerator generator{cfg};
+  options.resume = true;
+  core::StudyPipeline resumed{&generator, options};
+  const auto stats = resumed.run();
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), util::StatusCode::kDataLoss);
+  EXPECT_NE(stats.status().message().find("unsupported checkpoint version 1 (want 2)"),
+            std::string::npos)
+      << stats.status().to_string();
   fs::remove_all(dir);
 }
 

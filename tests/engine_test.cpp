@@ -5,15 +5,21 @@
 //     user's state: its footprint is the same whether the study header
 //     announces ten users or a hundred thousand, and merge_from places the
 //     user at its global id.
+//   - The attributor, waste, longitudinal and case-study parents keep only
+//     running sums after a merge, so they do not grow with the population
+//     either.
 //   - However many users a run walks, no more than shard_window(workers)
 //     clones are alive at once — for the pipeline and the sweep, at every
 //     thread count, with and without checkpointing.
+//   - A forward-only stream that brackets a user twice is refused, never
+//     merged over the first bracket.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,6 +35,7 @@
 #include "radio/burst_machine.h"
 #include "sim/generator.h"
 #include "sim/population.h"
+#include "trace/csv_io.h"
 #include "trace/shardable.h"
 #include "trace/sink.h"
 #include "util/status.h"
@@ -43,7 +50,8 @@ constexpr trace::UserId kUser = 7;
 /// Take user kUser of a population of `num_users` through one shard of the
 /// attributor, ledger, waste, longitudinal and case-study sinks. Returns each
 /// clone's resident bytes after the user's stream, then merges the shard
-/// back and checks the user landed at its global id.
+/// back, checks the user landed at its global id, and appends the resident
+/// bytes of the attributor, waste, longitudinal and case-study parents.
 std::vector<std::uint64_t> clone_footprints(std::uint32_t num_users) {
   sim::PopulationConfig population;
   population.num_users = num_users;
@@ -84,13 +92,21 @@ std::vector<std::uint64_t> clone_footprints(std::uint32_t num_users) {
   EXPECT_EQ(ledger.total_joules(), shard_joules);
   EXPECT_EQ(attributor.counters().users, 1u);
   EXPECT_GT(attributor.device_joules(), 0.0);
+  bytes.push_back(attributor.memory_use().resident_bytes);
+  for (std::size_t i = 1; i < parents.size(); ++i) {
+    bytes.push_back(parents[i]->memory_use().resident_bytes);
+  }
   return bytes;
 }
 
 TEST(ShardClones, FootprintIsIndependentOfThePopulation) {
   const std::vector<std::uint64_t> small = clone_footprints(10);
   const std::vector<std::uint64_t> large = clone_footprints(100'000);
-  const char* names[] = {"attributor", "ledger", "waste", "longitudinal", "case_studies"};
+  const char* names[] = {"attributor",        "ledger",
+                         "waste",             "longitudinal",
+                         "case_studies",      "attributor parent",
+                         "waste parent",      "longitudinal parent",
+                         "case_studies parent"};
   ASSERT_EQ(small.size(), std::size(names));
   ASSERT_EQ(large.size(), std::size(names));
   for (std::size_t i = 0; i < small.size(); ++i) EXPECT_EQ(small[i], large[i]) << names[i];
@@ -183,6 +199,70 @@ TEST(ShardWindow, LiveClonesNeverExceedTheWindow) {
       fs::remove_all(dir);
     }
   }
+}
+
+/// A CSV stream whose user brackets run 1, 0, 1: five cellular packets per
+/// bracket, 15 in all, for two real (user, app) accounts.
+std::string csv_with_user_reopened() {
+  trace::StudyMeta meta;
+  meta.num_users = 2;
+  meta.num_apps = 4;
+  meta.study_end = kEpoch + days(1.0);
+  std::ostringstream csv;
+  trace::CsvTraceWriter writer{csv};
+  writer.on_study_begin(meta);
+  for (const trace::UserId user : {1u, 0u, 1u}) {
+    writer.on_user_begin(user);
+    for (int i = 0; i < 5; ++i) {
+      trace::PacketRecord p;
+      p.time = kEpoch + sec(600.0 * i + (user == 1 ? 0.0 : 30.0));
+      p.user = user;
+      p.app = 2;
+      p.bytes = 1500;
+      writer.on_packet(p);
+    }
+    writer.on_user_end(user);
+  }
+  writer.on_study_end();
+  return csv.str();
+}
+
+TEST(DuplicateUsers, ForwardOnlyStreamThatReopensAUserIsRefused) {
+  const std::string csv = csv_with_user_reopened();
+  {
+    // Fed straight to a ledger, nothing is lost: the bracket order is legal
+    // for a plain sink.
+    std::istringstream in{csv};
+    trace::CsvTraceSource source{in};
+    energy::EnergyLedger ledger;
+    ASSERT_TRUE(source.emit(ledger, /*batch_size=*/0).ok());
+    EXPECT_EQ(ledger.total_packets(), 15u);
+    EXPECT_EQ(ledger.num_accounts(), 2u);
+  }
+  const fs::path dir = fs::temp_directory_path() / "wildenergy_engine_reopened";
+  for (const unsigned threads : {1u, 4u}) {
+    // The refused run leaves checkpoints covering users 1 and 0; resuming
+    // from them must refuse the reopened bracket too, not skip it.
+    fs::remove_all(dir);
+    for (const bool resume : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + (resume ? " resumed" : ""));
+      std::istringstream in{csv};
+      trace::CsvTraceSource source{in};
+      core::PipelineOptions options;
+      options.num_threads = threads;
+      options.checkpoint_dir = dir.string();
+      options.checkpoint_every_users = 1;
+      options.resume = resume;
+      core::StudyPipeline pipeline{&source, options};
+      const auto stats = pipeline.run();
+      ASSERT_FALSE(stats.ok());
+      EXPECT_EQ(stats.status().code(), util::StatusCode::kDataLoss);
+      EXPECT_NE(stats.status().message().find("user 1 appears in a second bracket"),
+                std::string::npos)
+          << stats.status().to_string();
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace
