@@ -39,7 +39,10 @@ void EnergyLedger::on_study_begin(const trace::StudyMeta& meta) {
   num_apps_hint_ = meta.num_apps;
   num_accounts_ = 0;
   users_.clear();
-  if (!shard_) users_.resize(meta.num_users);
+  base_ = 0;
+  // A fold-mode ledger frees each slab at its fold, so it holds a window of
+  // live users and never a slot per announced user.
+  if (!shard_ && !fold_mode()) users_.resize(meta.num_users);
   spilled_self_ = 0;
   folded_accounts_ = 0;
   folded_totals_ = UserTotals{};
@@ -47,11 +50,23 @@ void EnergyLedger::on_study_begin(const trace::StudyMeta& meta) {
   folded_users_.clear();
 }
 
-EnergyLedger::UserState& EnergyLedger::user_state(trace::UserId user) {
-  if (shard_ && users_.empty()) base_ = user;
+std::unique_ptr<EnergyLedger::UserState>& EnergyLedger::slot(trace::UserId user) {
+  if (users_.empty() && (shard_ || fold_mode())) base_ = user;
+  if (user < base_) {
+    // Out-of-order arrival below the held window: widen it downwards.
+    const std::size_t grow = base_ - user;
+    users_.resize(users_.size() + grow);
+    std::move_backward(users_.begin(), users_.end() - static_cast<std::ptrdiff_t>(grow),
+                       users_.end());
+    base_ = user;
+  }
   const std::size_t index = user - base_;
   if (index >= users_.size()) users_.resize(index + 1);
-  auto& slot = users_[index];
+  return users_[index];
+}
+
+EnergyLedger::UserState& EnergyLedger::user_state(trace::UserId user) {
+  auto& slot = this->slot(user);
   if (!slot) {
     slot = std::make_unique<UserState>();
     slot->apps.resize(num_apps_hint_);
@@ -137,24 +152,22 @@ std::unique_ptr<trace::TraceSink> EnergyLedger::clone_shard() const {
 
 void EnergyLedger::merge_from(trace::TraceSink& shard) {
   auto& other = dynamic_cast<EnergyLedger&>(shard);
-  const std::size_t end = other.base_ + other.users_.size();
-  if (end > users_.size()) users_.resize(end);
   for (std::size_t index = 0; index < other.users_.size(); ++index) {
     if (!other.users_[index]) continue;
-    assert(!users_[other.base_ + index]);
-    users_[other.base_ + index] = std::move(other.users_[index]);
+    auto& held = slot(static_cast<trace::UserId>(other.base_ + index));
+    assert(!held);
+    held = std::move(other.users_[index]);
   }
   num_accounts_ += other.num_accounts_;
   other.num_accounts_ = 0;
 }
 
 void EnergyLedger::merge(const EnergyLedger& shard) {
-  const std::size_t end = shard.base_ + shard.users_.size();
-  if (end > users_.size()) users_.resize(end);
   for (std::size_t index = 0; index < shard.users_.size(); ++index) {
     if (!shard.users_[index]) continue;
-    assert(!users_[shard.base_ + index]);
-    users_[shard.base_ + index] = std::make_unique<UserState>(*shard.users_[index]);
+    auto& held = slot(static_cast<trace::UserId>(shard.base_ + index));
+    assert(!held);
+    held = std::make_unique<UserState>(*shard.users_[index]);
   }
   num_accounts_ += shard.num_accounts_;
 }
@@ -223,6 +236,12 @@ void EnergyLedger::fold_user(trace::UserId user) {
   encode_slab(state, row);
   spilled_self_ += spill_->add_section("ledger", row.bytes());
   users_[user - base_].reset();
+  // Folds run in stream order, so the held window now starts at its first
+  // live slab; drop the released slots before it.
+  const auto live = std::find_if(users_.begin(), users_.end(),
+                                 [](const auto& held) { return held != nullptr; });
+  base_ += static_cast<trace::UserId>(live - users_.begin());
+  users_.erase(users_.begin(), live);
 }
 
 void EnergyLedger::save_state(ckpt::ByteWriter& out) const {
@@ -251,7 +270,11 @@ void EnergyLedger::save_state(ckpt::ByteWriter& out) const {
       prev = user;
     }
   }
-  out.put_varint(users_.size());
+  // Slot i is user i: the window of a fold-mode ledger is written after
+  // base_ empty slots (none when it holds no user, as after every fold).
+  const std::size_t leading = users_.empty() ? 0 : base_;
+  out.put_varint(leading + users_.size());
+  for (std::size_t i = 0; i < leading; ++i) out.put_u8(0);
   for (const auto& state : users_) {
     out.put_u8(state ? 1 : 0);
     if (!state) continue;
@@ -354,6 +377,7 @@ util::Status EnergyLedger::restore_state(ckpt::ByteReader& in) {
   if (!num_users.ok()) return num_users.status();
   users_.clear();
   users_.resize(*num_users);
+  base_ = 0;
   for (std::size_t user = 0; user < *num_users; ++user) {
     auto present = in.get_u8("ledger.user_present");
     if (!present.ok()) return present.status();

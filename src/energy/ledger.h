@@ -169,6 +169,8 @@ class EnergyLedger final : public trace::TraceSink,
     std::vector<AppUserAccount> apps;  ///< indexed by AppId; days empty = no traffic
   };
 
+  /// The users_ slot of `user`, widening the held window to cover it.
+  std::unique_ptr<UserState>& slot(trace::UserId user);
   /// The user's slab, allocated on first touch (apps pre-sized to the
   /// StudyMeta hint; grown on demand for out-of-hint ids).
   UserState& user_state(trace::UserId user);
@@ -191,8 +193,10 @@ class EnergyLedger final : public trace::TraceSink,
   /// Dense per-user slabs, indexed by UserId - base_; null until the user
   /// has traffic.
   std::vector<std::unique_ptr<UserState>> users_;
-  /// clone_shard() ledgers index from their first user, so a shard holds
-  /// one slab whatever the population; parents keep base_ at 0.
+  /// clone_shard() ledgers and fold-mode parents index from their first
+  /// held user, so they hold a window of live slabs whatever the
+  /// population; other parents keep base_ at 0 and a slot per announced
+  /// user.
   bool shard_ = false;
   trace::UserId base_ = 0;
 

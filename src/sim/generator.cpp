@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/stream_order.h"
 #include "sim/user_model.h"
 #include "trace/batch.h"
 
@@ -35,14 +38,34 @@ struct Session {
   bool visible = false;     ///< secondary-UI session (Fig. 3 "visible" state)
 };
 
-/// Builds one user's event stream. All state is local; determinism comes
-/// from keyed Rng streams.
+using Interval = std::pair<TimePoint, TimePoint>;
+
+/// Buffers one thread reuses across the users it generates. Each UserSim
+/// clears what it uses before filling it, so capacity is bounded by the
+/// largest user this thread has generated and nothing carries over.
+struct Scratch {
+  std::vector<PacketRecord> packets;   ///< in emission order
+  std::vector<PacketKey> keys;         ///< packets' keys in stream order
+  std::vector<std::uint32_t> buckets;  ///< bucket sort offsets
+  /// Foreground intervals by AppId (an app never foregrounded stays empty).
+  std::vector<std::vector<Interval>> fg_intervals;
+  bool busy = false;  ///< a UserSim on this thread holds the buffers
+};
+
+/// Builds one user's event stream. Determinism comes from keyed Rng
+/// streams; the scratch only lends capacity.
 class UserSim {
  public:
-  UserSim(const StudyConfig& config, const appmodel::AppCatalog& catalog, UserId user)
+  UserSim(const StudyConfig& config, const appmodel::AppCatalog& catalog, UserId user,
+          Scratch& scratch)
       : config_(config), catalog_(catalog), user_(user),
         plan_(make_user_plan(config, catalog, user)),
-        diurnal_(make_user_diurnal(config, user)) {
+        diurnal_(make_user_diurnal(config, user)),
+        packets_(scratch.packets), keys_(scratch.keys), buckets_(scratch.buckets),
+        fg_intervals_(scratch.fg_intervals) {
+    packets_.clear();
+    for (auto& ivs : fg_intervals_) ivs.clear();
+    fg_intervals_.resize(catalog.size());
     if (config.wifi_availability > 0.0) {
       Rng rng = stream("wifi-window");
       wifi_hours_ = std::clamp(config.wifi_availability, 0.0, 1.0) * 24.0;
@@ -101,9 +124,7 @@ class UserSim {
   /// Process state an app's *scheduled-background* packet should carry at t:
   /// if the app happens to be foregrounded, the traffic is foreground.
   ProcessState state_at(AppId app, TimePoint t, ProcessState scheduled) const {
-    const auto it = fg_intervals_.find(app);
-    if (it == fg_intervals_.end()) return scheduled;
-    const auto& ivs = it->second;
+    const auto& ivs = fg_intervals_[app];
     auto pos = std::upper_bound(ivs.begin(), ivs.end(), t,
                                 [](TimePoint v, const auto& iv) { return v < iv.first; });
     if (pos != ivs.begin()) {
@@ -115,9 +136,7 @@ class UserSim {
 
   /// Start of the app's next foreground session strictly after t (or study end).
   TimePoint next_session_after(AppId app, TimePoint t) const {
-    const auto it = fg_intervals_.find(app);
-    if (it == fg_intervals_.end()) return study_end();
-    const auto& ivs = it->second;
+    const auto& ivs = fg_intervals_[app];
     const auto pos = std::upper_bound(ivs.begin(), ivs.end(), t,
                                       [](TimePoint v, const auto& iv) { return v < iv.first; });
     return pos == ivs.end() ? study_end() : pos->first;
@@ -227,9 +246,7 @@ class UserSim {
       const TimePoint fg_hi = s.media ? s.fg_end : s.end;
       fg_intervals_[s.app].emplace_back(s.begin, fg_hi);
     }
-    for (auto& [app, ivs] : fg_intervals_) {
-      std::sort(ivs.begin(), ivs.end());
-    }
+    for (auto& ivs : fg_intervals_) std::sort(ivs.begin(), ivs.end());
   }
 
   // -- phase 3: per-session traffic (fg bursts, flush, leaks, media chunks) --
@@ -415,9 +432,7 @@ class UserSim {
   }
 
   void emit_reset_phase_periodic(AppId app, const PeriodicSpec& spec, Rng& rng) {
-    const auto it = fg_intervals_.find(app);
-    if (it == fg_intervals_.end()) return;
-    for (const auto& [begin, end] : it->second) {
+    for (const auto& [begin, end] : fg_intervals_[app]) {
       // The timer re-arms when the app leaves the foreground and keeps
       // firing until the next session or a forced stop.
       const TimePoint stop =
@@ -434,51 +449,44 @@ class UserSim {
     }
   }
 
-  // -- phase 5: sort and emit -------------------------------------------------
+  // -- phase 5: order and emit ------------------------------------------------
 
+  /// One merge of packets and transitions into batches of `batch_size`
+  /// events; transitions win ties so a session's packets follow its
+  /// transition into the new state. batch_size 0 delivers the same batches
+  /// record by record through trace::replay.
   void emit_stream(trace::TraceSink& sink, std::size_t batch_size) {
-    std::stable_sort(packets_.begin(), packets_.end(),
-                     [](const PacketRecord& a, const PacketRecord& b) { return a.time < b.time; });
+    order_by_time(packets_, config_.study_begin(), study_end(), keys_, buckets_);
     std::stable_sort(transitions_.begin(), transitions_.end(),
                      [](const StateTransition& a, const StateTransition& b) {
                        return a.time < b.time;
                      });
-    // Merge; transitions win ties so a session's packets follow its
-    // transition into the new state.
-    std::size_t pi = 0;
-    std::size_t ti = 0;
-    if (batch_size == 0) {
-      while (pi < packets_.size() || ti < transitions_.size()) {
-        const bool take_transition =
-            ti < transitions_.size() &&
-            (pi >= packets_.size() || transitions_[ti].time <= packets_[pi].time);
-        if (take_transition) {
-          sink.on_transition(transitions_[ti++]);
-        } else {
-          sink.on_packet(packets_[pi++]);
-        }
+    const std::size_t span = batch_size == 0 ? trace::kDefaultBatchSize : batch_size;
+    const auto deliver = [&sink, batch_size](trace::EventBatch& batch) {
+      if (batch_size == 0) {
+        trace::replay(batch, sink);
+      } else {
+        sink.on_batch(batch);
       }
-      return;
-    }
-    // Batched delivery: same merge, buffered into spans of batch_size events.
+      batch.clear();
+    };
     trace::EventBatch batch;
     batch.user = user_;
-    batch.reserve(std::min(batch_size, packets_.size() + transitions_.size()));
-    while (pi < packets_.size() || ti < transitions_.size()) {
+    batch.reserve(std::min(span, keys_.size() + transitions_.size()));
+    std::size_t pi = 0;
+    std::size_t ti = 0;
+    while (pi < keys_.size() || ti < transitions_.size()) {
       const bool take_transition =
           ti < transitions_.size() &&
-          (pi >= packets_.size() || transitions_[ti].time <= packets_[pi].time);
+          (pi >= keys_.size() || transitions_[ti].time.us <= keys_[pi].time_us);
       if (take_transition) {
         batch.add(transitions_[ti++]);
       } else {
-        batch.add(packets_[pi++]);
+        batch.add(packets_[keys_[pi++].index]);
       }
-      if (batch.size() >= batch_size) {
-        sink.on_batch(batch);
-        batch.clear();
-      }
+      if (batch.size() >= span) deliver(batch);
     }
-    if (!batch.empty()) sink.on_batch(batch);
+    if (!batch.empty()) deliver(batch);
   }
 
   const StudyConfig& config_;
@@ -487,13 +495,31 @@ class UserSim {
   UserPlan plan_;
   DiurnalProfile diurnal_;  ///< per-user rhythm (shared curve at paper defaults)
   std::vector<Session> sessions_;
-  std::unordered_map<AppId, std::vector<std::pair<TimePoint, TimePoint>>> fg_intervals_;
-  std::vector<PacketRecord> packets_;
+  std::vector<PacketRecord>& packets_;
+  std::vector<PacketKey>& keys_;
+  std::vector<std::uint32_t>& buckets_;
+  std::vector<std::vector<Interval>>& fg_intervals_;
   std::vector<StateTransition> transitions_;
   trace::FlowId next_flow_ = 1;
   double wifi_hours_ = 0.0;   ///< daily WiFi window length (0 = disabled)
   double wifi_start_ = 20.0;  ///< window start, hour of day
 };
+
+/// Generate one user's stream into `sink` on this thread's scratch. A call
+/// made from inside a sink while the scratch is held (a generator feeding
+/// a sink that generates) gets buffers of its own instead.
+void generate_user(const StudyConfig& config, const appmodel::AppCatalog& catalog, UserId user,
+                   trace::TraceSink& sink, std::size_t batch_size) {
+  thread_local Scratch shared;
+  std::optional<Scratch> own;
+  Scratch& scratch = shared.busy ? own.emplace() : shared;
+  struct Hold {
+    Scratch& scratch;
+    explicit Hold(Scratch& s) : scratch(s) { scratch.busy = true; }
+    ~Hold() { scratch.busy = false; }
+  } hold{scratch};
+  UserSim{config, catalog, user, scratch}.generate(sink, batch_size);
+}
 
 }  // namespace
 
@@ -517,7 +543,7 @@ void StudyGenerator::run(trace::TraceSink& sink, std::size_t batch_size) const {
   sink.on_study_begin(meta());
   for (UserId u = 0; u < config_.num_users; ++u) {
     sink.on_user_begin(u);
-    UserSim{config_, catalog_, u}.generate(sink, batch_size);
+    generate_user(config_, catalog_, u, sink, batch_size);
     sink.on_user_end(u);
   }
   sink.on_study_end();
@@ -527,7 +553,7 @@ void StudyGenerator::run_user(trace::UserId user, trace::TraceSink& sink,
                               std::size_t batch_size) const {
   sink.on_study_begin(meta());
   sink.on_user_begin(user);
-  UserSim{config_, catalog_, user}.generate(sink, batch_size);
+  generate_user(config_, catalog_, user, sink, batch_size);
   sink.on_user_end(user);
   sink.on_study_end();
 }

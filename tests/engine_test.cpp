@@ -21,6 +21,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/case_studies.h"
@@ -30,6 +31,7 @@
 #include "core/pipeline.h"
 #include "core/policy.h"
 #include "core/sweep.h"
+#include "energy/account_file.h"
 #include "energy/attributor.h"
 #include "energy/ledger.h"
 #include "radio/burst_machine.h"
@@ -110,6 +112,49 @@ TEST(ShardClones, FootprintIsIndependentOfThePopulation) {
   ASSERT_EQ(small.size(), std::size(names));
   ASSERT_EQ(large.size(), std::size(names));
   for (std::size_t i = 0; i < small.size(); ++i) EXPECT_EQ(small[i], large[i]) << names[i];
+}
+
+/// Resident bytes of a fold-mode ledger announced `num_users` users: right
+/// after on_study_begin, and after the last user's shard has merged and
+/// folded, as the engine folds a spilling run.
+std::pair<std::uint64_t, std::uint64_t> fold_ledger_footprints(std::uint32_t num_users) {
+  sim::PopulationConfig population;
+  population.num_users = num_users;
+  population.num_days = 2;
+  const sim::StudyGenerator generator{population.study()};
+  const fs::path dir = fs::temp_directory_path() / "wildenergy_engine_fold_ledger";
+  fs::remove_all(dir);
+  energy::AccountSpill spill{{.dir = dir.string()}};
+  EXPECT_TRUE(spill.open_fresh().ok());
+
+  energy::EnergyLedger ledger;
+  ledger.set_account_spill(&spill);
+  ledger.on_study_begin(generator.meta());
+  const std::uint64_t announced = ledger.memory_use().resident_bytes;
+
+  const trace::UserId last = num_users - 1;
+  const std::unique_ptr<trace::TraceSink> shard = ledger.clone_shard();
+  generator.run_user(last, *shard);
+  ledger.merge_from(*shard);
+  spill.begin_user(last);
+  ledger.fold_user(last);
+  spill.end_user();
+  EXPECT_EQ(ledger.users(), std::vector<trace::UserId>{last});
+  EXPECT_EQ(ledger.num_accounts(), 0u);
+  EXPECT_GT(ledger.total_packets(), 0u);
+  const std::uint64_t folded = ledger.memory_use().resident_bytes;
+  ledger.on_study_end();
+  fs::remove_all(dir);
+  return {announced, folded};
+}
+
+// A spilling ledger frees every slab at its fold, so neither announcing a
+// million users nor folding the millionth may leave a slot per user behind.
+TEST(ShardClones, FoldLedgerFootprintIsIndependentOfThePopulation) {
+  const auto [small_announced, small_folded] = fold_ledger_footprints(10);
+  const auto [large_announced, large_folded] = fold_ledger_footprints(1'000'000);
+  EXPECT_EQ(small_announced, large_announced);
+  EXPECT_EQ(small_folded, large_folded);
 }
 
 /// Counts the clones of itself alive at once.

@@ -3,13 +3,21 @@
 // models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "appmodel/catalog.h"
 #include "sim/generator.h"
+#include "sim/population.h"
+#include "sim/stream_order.h"
 #include "sim/user_model.h"
+#include "trace/batch.h"
 #include "trace/sink.h"
+#include "util/rng.h"
 
 namespace wildenergy::sim {
 namespace {
@@ -180,6 +188,222 @@ TEST(StudyGenerator, RunUserMatchesFullRunSubset) {
     if (p.user == 1) ++full_user1;
   }
   EXPECT_EQ(single.packets().size(), full_user1);
+}
+
+/// Sink folding every field of every event, brackets included, into a
+/// 64-bit FNV-1a hash in stream order.
+class FingerprintSink final : public trace::TraceSink {
+ public:
+  void on_study_begin(const trace::StudyMeta& meta) override {
+    mix(0xB0);
+    mix(meta.num_users);
+  }
+  void on_user_begin(trace::UserId user) override {
+    mix(0xB1);
+    mix(user);
+  }
+  void on_packet(const trace::PacketRecord& p) override {
+    mix(0x01);
+    mix(static_cast<std::uint64_t>(p.time.us));
+    mix(p.user);
+    mix(p.app);
+    mix(p.flow);
+    mix(p.bytes);
+    mix(static_cast<std::uint64_t>(p.direction));
+    mix(static_cast<std::uint64_t>(p.interface));
+    mix(static_cast<std::uint64_t>(p.state));
+    mix(std::bit_cast<std::uint64_t>(p.joules));
+  }
+  void on_transition(const trace::StateTransition& t) override {
+    mix(0x02);
+    mix(static_cast<std::uint64_t>(t.time.us));
+    mix(t.user);
+    mix(t.app);
+    mix(static_cast<std::uint64_t>(t.from));
+    mix(static_cast<std::uint64_t>(t.to));
+  }
+  void on_user_end(trace::UserId user) override {
+    mix(0xE1);
+    mix(user);
+  }
+  void on_study_end() override { mix(0xE0); }
+
+  [[nodiscard]] std::uint64_t hash() const { return hash_; }
+
+ private:
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xFF;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+std::uint64_t fingerprint(const StudyConfig& config, std::size_t batch_size) {
+  FingerprintSink sink;
+  StudyGenerator{config}.run(sink, batch_size);
+  return sink.hash();
+}
+
+// Pins the generated stream itself. A change to these constants is a change
+// to every downstream figure: it must be deliberate (and versioned), never
+// the side effect of a refactor of the emission path.
+TEST(StudyGenerator, StreamFingerprintIsPinned) {
+  StudyConfig panel = small_study(1);
+  panel.num_users = 6;
+  panel.num_days = 5;
+  PopulationConfig fleet;
+  fleet.num_users = 8;
+  fleet.seed = 9001;
+  fleet.num_days = 3;
+  for (const std::size_t batch_size : {std::size_t{0}, std::size_t{1}, trace::kDefaultBatchSize}) {
+    EXPECT_EQ(fingerprint(panel, batch_size), 0x01D632A70FF398CDULL) << "batch_size " << batch_size;
+    EXPECT_EQ(fingerprint(fleet.study(), batch_size), 0x701385973AD940D9ULL) << "batch_size " << batch_size;
+  }
+}
+
+// Concurrent emit_user calls on one shared generator (as the sharded engine
+// makes them) must each see exactly the serial per-user stream: the
+// generator's per-thread scratch must never leak between users or threads.
+TEST(StudyGenerator, ConcurrentEmitUserMatchesSerial) {
+  PopulationConfig fleet;
+  fleet.num_users = 24;
+  fleet.seed = 7;
+  fleet.num_days = 4;
+  StudyGenerator gen{fleet.study()};
+  const auto user_hash = [&gen](trace::UserId user, std::size_t batch_size) {
+    FingerprintSink sink;
+    EXPECT_TRUE(gen.emit_user(user, sink, batch_size).ok());
+    return sink.hash();
+  };
+  std::vector<std::uint64_t> serial(fleet.num_users);
+  for (trace::UserId u = 0; u < fleet.num_users; ++u) serial[u] = user_hash(u, 0);
+
+  constexpr unsigned kThreads = 4;
+  std::vector<std::uint64_t> concurrent(fleet.num_users);
+  std::vector<std::thread> threads;
+  for (unsigned k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      // Alternate batch sizes so a thread reuses its scratch across both
+      // delivery modes and across users of different sizes.
+      for (trace::UserId u = k; u < fleet.num_users; u += kThreads) {
+        concurrent[u] = user_hash(u, u % 2 == 0 ? trace::kDefaultBatchSize : 0);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (trace::UserId u = 0; u < fleet.num_users; ++u) {
+    EXPECT_EQ(concurrent[u], serial[u]) << "user " << u;
+  }
+}
+
+/// Forwards to a fingerprint and, at its first packet, generates another
+/// user from inside the callback, while the outer user's stream is still
+/// being emitted on this thread.
+class NestingSink final : public trace::TraceSink {
+ public:
+  NestingSink(const StudyGenerator& gen, trace::UserId nested) : gen_(gen), nested_(nested) {}
+  void on_study_begin(const trace::StudyMeta& meta) override { outer.on_study_begin(meta); }
+  void on_user_begin(trace::UserId user) override { outer.on_user_begin(user); }
+  void on_packet(const trace::PacketRecord& p) override {
+    if (!nested_done_) {
+      nested_done_ = true;
+      gen_.run_user(nested_, inner);
+    }
+    outer.on_packet(p);
+  }
+  void on_transition(const trace::StateTransition& t) override { outer.on_transition(t); }
+  void on_user_end(trace::UserId user) override { outer.on_user_end(user); }
+  void on_study_end() override { outer.on_study_end(); }
+
+  FingerprintSink outer;
+  FingerprintSink inner;
+
+ private:
+  const StudyGenerator& gen_;
+  trace::UserId nested_;
+  bool nested_done_ = false;
+};
+
+// A sink that generates while it is being fed must not disturb the stream
+// it is fed: the nested call may not share the thread's scratch.
+TEST(StudyGenerator, NestedGenerationKeepsBothStreams) {
+  const StudyGenerator gen{tiny()};
+  FingerprintSink user0;
+  FingerprintSink user2;
+  gen.run_user(0, user0);
+  gen.run_user(2, user2);
+  for (const std::size_t batch_size : {std::size_t{0}, trace::kDefaultBatchSize}) {
+    NestingSink nesting{gen, 2};
+    gen.run_user(0, nesting, batch_size);
+    EXPECT_EQ(nesting.outer.hash(), user0.hash()) << "batch_size " << batch_size;
+    EXPECT_EQ(nesting.inner.hash(), user2.hash()) << "batch_size " << batch_size;
+  }
+}
+
+/// order_by_time must give exactly the order std::stable_sort by time gives.
+void expect_stable_time_order(const std::vector<trace::PacketRecord>& packets, TimePoint begin,
+                              TimePoint end) {
+  std::vector<std::uint32_t> expected(packets.size());
+  for (std::uint32_t i = 0; i < expected.size(); ++i) expected[i] = i;
+  std::stable_sort(expected.begin(), expected.end(), [&packets](std::uint32_t a, std::uint32_t b) {
+    return packets[a].time < packets[b].time;
+  });
+  std::vector<PacketKey> keys{{7, 7}};  // stale contents must not survive
+  std::vector<std::uint32_t> buckets{3, 1, 4};
+  order_by_time(packets, begin, end, keys, buckets);
+  ASSERT_EQ(keys.size(), packets.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(keys[i].index, expected[i]) << "position " << i << " of " << keys.size();
+    ASSERT_EQ(keys[i].time_us, packets[expected[i]].time.us);
+  }
+}
+
+// Shapes that exercise every branch of the bucket sort: sorted runs laid
+// over each other (the generator's shape), heavy timestamp ties, one
+// overfull bucket, both window edges, and the empty and single inputs.
+TEST(StreamOrder, MatchesStableSortByTime) {
+  const TimePoint begin{1'000};
+  const TimePoint end{1'000 + 86'400'000'000LL};
+  const std::int64_t span = end.us - begin.us;
+  Rng rng{2024};
+  const auto at = [](std::int64_t us) {
+    trace::PacketRecord p;
+    p.time = TimePoint{us};
+    return p;
+  };
+  const auto random_runs = [&](int runs, int run_length, std::int64_t grain) {
+    std::vector<trace::PacketRecord> packets;
+    for (int r = 0; r < runs; ++r) {
+      std::int64_t t = begin.us + static_cast<std::int64_t>(rng.uniform_int(span / 4));
+      for (int k = 0; k < run_length && t < end.us; ++k) {
+        packets.push_back(at(t));
+        t += grain * static_cast<std::int64_t>(rng.uniform_int(4));  // 0 makes a tie
+      }
+    }
+    return packets;
+  };
+
+  expect_stable_time_order({}, begin, end);
+  expect_stable_time_order({at(begin.us)}, begin, end);
+  expect_stable_time_order({at(end.us - 1), at(begin.us), at(end.us - 1), at(begin.us)}, begin,
+                           end);
+  for (const std::int64_t grain : {std::int64_t{1}, std::int64_t{1'000'000}, span / 64}) {
+    expect_stable_time_order(random_runs(200, 50, grain), begin, end);
+  }
+  // Times from a handful of values: every bucket is all ties.
+  std::vector<trace::PacketRecord> ties;
+  for (int i = 0; i < 5'000; ++i) {
+    ties.push_back(at(begin.us + static_cast<std::int64_t>(rng.uniform_int(5)) * (span / 5)));
+  }
+  expect_stable_time_order(ties, begin, end);
+  // A dense burst inside an otherwise sparse window overfills its buckets.
+  std::vector<trace::PacketRecord> burst = random_runs(20, 20, 1'000'000);
+  for (int i = 0; i < 2'000; ++i) {
+    burst.push_back(at(begin.us + span / 2 + static_cast<std::int64_t>(rng.uniform_int(500))));
+  }
+  expect_stable_time_order(burst, begin, end);
 }
 
 TEST(UserModel, PlansAreDeterministicAndDiverse) {
