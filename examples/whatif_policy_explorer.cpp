@@ -10,7 +10,9 @@
 // the day-granularity estimator for even cheaper sweeps.
 #include <iostream>
 #include <memory>
+#include <string>
 #include <unordered_set>
+#include <utility>
 
 #include "analysis/whatif.h"
 #include "core/pipeline.h"
@@ -61,27 +63,24 @@ int main() {
   }
 
   core::SweepEngine engine{&generator};
-  engine.add_scenario({.name = "kill after 3 idle days",
-                       .policy = [](trace::TraceSink* d) {
-                         return std::make_unique<core::KillAfterIdlePolicy>(d, days(3.0));
-                       }});
-  engine.add_scenario({.name = "kill after 3 idle days + widget whitelist",
-                       .policy = [&](trace::TraceSink* d) {
-                         return std::make_unique<core::KillAfterIdlePolicy>(d, days(3.0),
-                                                                            whitelist);
-                       }});
-  engine.add_scenario({.name = "Doze-like (1 h idle, 4 h maintenance cycle)",
-                       .policy = [](trace::TraceSink* d) {
-                         return std::make_unique<core::DozeLikePolicy>(d);
-                       }});
-  engine.add_scenario({.name = "App-Standby-like (rate-limit idle apps)",
-                       .policy = [](trace::TraceSink* d) {
-                         return std::make_unique<core::AppStandbyPolicy>(d);
-                       }});
-  engine.add_scenario({.name = "terminate foreground flows on minimize",
-                       .policy = [](trace::TraceSink* d) {
-                         return std::make_unique<core::LeakTerminationPolicy>(d);
-                       }});
+  const auto add_policy = [&engine](std::string name, core::PolicyFactory policy) {
+    core::Scenario scenario;
+    scenario.name = std::move(name);
+    scenario.policy = std::move(policy);
+    engine.add_scenario(std::move(scenario));
+  };
+  add_policy("kill after 3 idle days", [](trace::TraceSink* d) {
+    return std::make_unique<core::KillAfterIdlePolicy>(d, days(3.0));
+  });
+  add_policy("kill after 3 idle days + widget whitelist", [&](trace::TraceSink* d) {
+    return std::make_unique<core::KillAfterIdlePolicy>(d, days(3.0), whitelist);
+  });
+  add_policy("Doze-like (1 h idle, 4 h maintenance cycle)",
+             [](trace::TraceSink* d) { return std::make_unique<core::DozeLikePolicy>(d); });
+  add_policy("App-Standby-like (rate-limit idle apps)",
+             [](trace::TraceSink* d) { return std::make_unique<core::AppStandbyPolicy>(d); });
+  add_policy("terminate foreground flows on minimize",
+             [](trace::TraceSink* d) { return std::make_unique<core::LeakTerminationPolicy>(d); });
   const auto stats = engine.run();
   if (!stats.ok()) {
     std::cerr << "sweep failed: " << stats.status() << "\n";

@@ -511,7 +511,8 @@ int cmd_analyze_store(const CliOptions& options) {
   sinks.add(&ledger);
   sinks.add(&persistence);
   energy::EnergyAttributor attributor{radio::make_lte_model, &sinks};
-  trace::ReadOptions read_options{options.read_policy};
+  trace::ReadOptions read_options;
+  read_options.policy = options.read_policy;
   read_options.batch_size = options.batch_size;
   trace::ValidatingSink validator{&attributor, read_options};
   if (const util::Status replayed = store.emit(validator, options.batch_size);
@@ -573,7 +574,8 @@ int cmd_analyze(const CliOptions& options) {
   energy::EnergyAttributor attributor{radio::make_lte_model, &sinks};
   // The reader validates syntax/fields; the ValidatingSink behind it enforces
   // the stream protocol (bracketing, time order) under the same policy.
-  trace::ReadOptions read_options{options.read_policy};
+  trace::ReadOptions read_options;
+  read_options.policy = options.read_policy;
   read_options.batch_size = options.batch_size;
   trace::ValidatingSink validator{&attributor, read_options};
 
@@ -865,7 +867,9 @@ int cmd_sweep(const CliOptions& options) {
 
   sim::StudyGenerator generator{options.study};
   core::SweepEngine sweep{&generator, sweep_options};
-  sweep.add_scenario({.name = "baseline"});
+  core::Scenario baseline_scenario;
+  baseline_scenario.name = "baseline";
+  sweep.add_scenario(std::move(baseline_scenario));
   for (const double idle_days : {1.0, 3.0, 7.0}) {
     core::Scenario scenario;
     scenario.name = "kill-" + std::to_string(static_cast<int>(idle_days)) + "d";
@@ -874,9 +878,12 @@ int cmd_sweep(const CliOptions& options) {
     };
     sweep.add_scenario(std::move(scenario));
   }
-  sweep.add_scenario({.name = "doze", .policy = [](trace::TraceSink* downstream) {
-                        return std::make_unique<core::DozeLikePolicy>(downstream);
-                      }});
+  core::Scenario doze;
+  doze.name = "doze";
+  doze.policy = [](trace::TraceSink* downstream) {
+    return std::make_unique<core::DozeLikePolicy>(downstream);
+  };
+  sweep.add_scenario(std::move(doze));
 
   util::StatusOr<obs::RunStats> stats = util::Status::internal("sweep did not start");
   try {

@@ -51,17 +51,19 @@ util::Status ByteReader::truncated(std::string_view field) const {
 }
 
 util::StatusOr<std::uint8_t> ByteReader::get_u8(std::string_view field) {
-  if (pos_ >= data_.size()) return truncated(field);
-  return static_cast<std::uint8_t>(data_[pos_++]);
+  SpanCursor in = cursor();
+  std::uint8_t value = 0;
+  if (!in.u8(value)) return truncated(field);
+  advance_to(in);
+  return value;
 }
 
 util::StatusOr<std::uint64_t> ByteReader::get_varint(std::string_view field) {
+  SpanCursor in = cursor();
   std::uint64_t value = 0;
-  switch (decode_varint(value, [this](std::uint8_t& byte) {
-    if (pos_ >= data_.size()) return false;
-    byte = static_cast<std::uint8_t>(data_[pos_++]);
-    return true;
-  })) {
+  const VarintFail fail = in.varint(value);
+  advance_to(in);
+  switch (fail) {
     case VarintFail::kOk:
       return value;
     case VarintFail::kEof:
@@ -75,12 +77,11 @@ util::StatusOr<std::uint64_t> ByteReader::get_varint(std::string_view field) {
 }
 
 util::StatusOr<double> ByteReader::get_f64(std::string_view field) {
-  if (data_.size() - pos_ < 8) return truncated(field);
-  std::uint64_t bits = 0;
-  for (int shift = 0; shift < 64; shift += 8) {
-    bits |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data_[pos_++])) << shift;
-  }
-  return std::bit_cast<double>(bits);
+  SpanCursor in = cursor();
+  double value = 0.0;
+  if (!in.f64(value)) return truncated(field);
+  advance_to(in);
+  return value;
 }
 
 util::StatusOr<std::string> ByteReader::get_string(std::string_view field) {

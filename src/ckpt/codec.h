@@ -88,6 +88,56 @@ template <typename GetByte>
   return VarintFail::kOverlong;
 }
 
+/// Bounded cursor over raw bytes [pos, end): the one in-memory decoder.
+/// Hot loops (trace/segment.cpp replays every packet through it) call the
+/// inline accessors directly and build a positioned status only when one
+/// fails; ByteReader wraps it with field-named util::Status errors. A failed
+/// read leaves the cursor where decode_varint stopped (varint) or unmoved
+/// (u8/f64), so offset-reporting callers stay positioned.
+class SpanCursor {
+ public:
+  SpanCursor(const char* begin, const char* end) : pos_(begin), end_(end) {}
+
+  [[nodiscard]] VarintFail varint(std::uint64_t& value) {
+    // One-byte fast path: most deltas, app ids and small counts.
+    if (pos_ != end_ && static_cast<std::uint8_t>(*pos_) < 0x80) {
+      value = static_cast<std::uint8_t>(*pos_++);
+      return VarintFail::kOk;
+    }
+    return decode_varint(value, [this](std::uint8_t& byte) {
+      if (pos_ == end_) return false;
+      byte = static_cast<std::uint8_t>(*pos_++);
+      return true;
+    });
+  }
+
+  [[nodiscard]] bool u8(std::uint8_t& value) {
+    if (pos_ == end_) return false;
+    value = static_cast<std::uint8_t>(*pos_++);
+    return true;
+  }
+
+  /// Raw little-endian IEEE-754 bits (ByteWriter::put_f64's encoding).
+  [[nodiscard]] bool f64(double& value) {
+    if (remaining() < 8) return false;
+    std::uint64_t bits = 0;
+    for (int i = 0; i < 8; ++i) {
+      bits |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(pos_[i])) << (8 * i);
+    }
+    pos_ += 8;
+    value = std::bit_cast<double>(bits);
+    return true;
+  }
+
+  [[nodiscard]] const char* pos() const { return pos_; }
+  [[nodiscard]] std::size_t remaining() const { return static_cast<std::size_t>(end_ - pos_); }
+  [[nodiscard]] bool at_end() const { return pos_ == end_; }
+
+ private:
+  const char* pos_;
+  const char* end_;
+};
+
 /// Append-only byte buffer with the checkpoint wire primitives.
 class ByteWriter {
  public:
@@ -98,6 +148,19 @@ class ByteWriter {
   /// varint length + raw bytes.
   void put_string(std::string_view text);
   void put_bytes(std::string_view raw) { buf_.append(raw); }
+
+  /// Raw output window for hot encoders (trace/segment.cpp): grows the
+  /// buffer by `max_bytes` and returns where to write; close_window(end)
+  /// trims the buffer to the bytes actually written. Nothing may be put
+  /// between the two calls.
+  [[nodiscard]] char* open_window(std::size_t max_bytes) {
+    const std::size_t base = buf_.size();
+    buf_.resize(base + max_bytes);
+    return buf_.data() + base;
+  }
+  void close_window(const char* end) {
+    buf_.resize(static_cast<std::size_t>(end - buf_.data()));
+  }
 
   void put_f64_span(std::span<const double> values);
   void put_u64_span(std::span<const std::uint64_t> values);
@@ -112,7 +175,8 @@ class ByteWriter {
 };
 
 /// Cursor over a serialized snapshot. Every accessor names the field it is
-/// decoding so failures carry both *what* was being read and *where*.
+/// decoding so failures carry both *what* was being read and *where*. The
+/// primitive reads delegate to SpanCursor, so the tree has one decoder.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
@@ -136,6 +200,12 @@ class ByteReader {
 
  private:
   [[nodiscard]] util::Status truncated(std::string_view field) const;
+  [[nodiscard]] SpanCursor cursor() const {
+    return {data_.data() + pos_, data_.data() + data_.size()};
+  }
+  void advance_to(const SpanCursor& cursor) {
+    pos_ = static_cast<std::size_t>(cursor.pos() - data_.data());
+  }
 
   std::string_view data_;
   std::size_t pos_ = 0;

@@ -1,9 +1,11 @@
 #include "trace/segment.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <type_traits>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define WILDENERGY_SEGMENT_MMAP 1
@@ -33,10 +35,145 @@ std::uint64_t read_u64le(std::string_view bytes) {
 }
 
 std::uint8_t packet_flags(const PacketRecord& p) {
-  return static_cast<std::uint8_t>(p.direction == radio::Direction::kUplink ? 1 : 0) |
-         static_cast<std::uint8_t>(p.interface == Interface::kWifi ? 2 : 0) |
-         static_cast<std::uint8_t>(static_cast<std::uint8_t>(p.state) << 2);
+  return static_cast<std::uint8_t>(p.direction == radio::Direction::kUplink ? kPacketFlagUplink
+                                                                             : 0) |
+         static_cast<std::uint8_t>(p.interface == Interface::kWifi ? kPacketFlagWifi : 0) |
+         static_cast<std::uint8_t>(static_cast<std::uint8_t>(p.state) << kPacketStateShift);
 }
+
+// Worst-case encoded sizes, which pre-size each chunk's output window:
+// varints of a u64 take at most 10 bytes, of a u32 at most 5.
+constexpr std::size_t kMaxPacketBytes = 10 + 5 + 10 + 10 + 1 + 8;
+constexpr std::size_t kMaxTransitionBytes = 10 + 5 + 1 + 1;
+constexpr std::size_t kMaxOrderRunBytes = 1 + 10;
+
+void put_varint(char*& out, std::uint64_t value) {
+  ckpt::encode_varint(value, [&out](std::uint8_t byte) { *out++ = static_cast<char>(byte); });
+}
+
+void put_f64(char*& out, double value) {
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  for (int shift = 0; shift < 64; shift += 8) *out++ = static_cast<char>(bits >> shift);
+}
+
+/// Decodes one chunk's three column streams off the mapping. Every read
+/// returns false on damage and records a positioned message; replay_chunk
+/// turns that into the data_loss status, so the hot path builds no status.
+class ChunkReader {
+ public:
+  ChunkReader(const char* file, const SegmentChunkInfo& chunk)
+      : file_(file),
+        user_(chunk.user),
+        packets_(file + chunk.packets_offset, file + chunk.packets_offset + chunk.packets_len),
+        transitions_(file + chunk.transitions_offset,
+                     file + chunk.transitions_offset + chunk.transitions_len),
+        order_(file + chunk.order_offset, file + chunk.order_offset + chunk.order_len) {}
+
+  [[nodiscard]] bool run(EventKind& kind, std::uint64_t& length) {
+    std::uint8_t raw = 0;
+    if (!u8(order_, raw, "order kind") || !varint(order_, length, "order run")) return false;
+    if (raw > static_cast<std::uint8_t>(EventKind::kTransition)) {
+      return fail(order_, "bad order kind", std::to_string(raw).c_str());
+    }
+    kind = static_cast<EventKind>(raw);
+    return true;
+  }
+
+  [[nodiscard]] bool read(PacketRecord& p) {
+    std::uint64_t dt = 0;
+    std::uint64_t app = 0;
+    std::uint8_t flags = 0;
+    if (!varint(packets_, dt, "packet dt") || !varint(packets_, app, "packet app") ||
+        !varint(packets_, p.flow, "packet flow") || !varint(packets_, p.bytes, "packet bytes") ||
+        !u8(packets_, flags, "packet flags")) {
+      return false;
+    }
+    if ((flags & kPacketFlagsReserved) != 0) {
+      return fail(packets_, "reserved packet flag bits set");
+    }
+    const auto state = static_cast<std::uint8_t>((flags & kPacketStateMask) >> kPacketStateShift);
+    if (app > kNoApp || state >= kNumProcessStates) return fail(packets_, "bad packet fields");
+    p.joules = 0.0;
+    if ((flags & kPacketFlagJoules) != 0 && !f64(packets_, p.joules, "packet joules")) {
+      return false;
+    }
+    pkt_time_ = advance(pkt_time_, dt);
+    p.time.us = pkt_time_;
+    p.user = user_;
+    p.app = static_cast<AppId>(app);
+    p.direction = (flags & kPacketFlagUplink) != 0 ? radio::Direction::kUplink
+                                                    : radio::Direction::kDownlink;
+    p.interface = (flags & kPacketFlagWifi) != 0 ? Interface::kWifi : Interface::kCellular;
+    p.state = static_cast<ProcessState>(state);
+    return true;
+  }
+
+  [[nodiscard]] bool read(StateTransition& t) {
+    std::uint64_t dt = 0;
+    std::uint64_t app = 0;
+    std::uint8_t from = 0;
+    std::uint8_t to = 0;
+    if (!varint(transitions_, dt, "transition dt") ||
+        !varint(transitions_, app, "transition app") ||
+        !u8(transitions_, from, "transition from") || !u8(transitions_, to, "transition to")) {
+      return false;
+    }
+    if (app > kNoApp || from >= kNumProcessStates || to >= kNumProcessStates) {
+      return fail(transitions_, "bad transition fields");
+    }
+    tr_time_ = advance(tr_time_, dt);
+    t.time.us = tr_time_;
+    t.user = user_;
+    t.app = static_cast<AppId>(app);
+    t.from = static_cast<ProcessState>(from);
+    t.to = static_cast<ProcessState>(to);
+    return true;
+  }
+
+  [[nodiscard]] bool consumed() const {
+    return packets_.at_end() && transitions_.at_end() && order_.at_end();
+  }
+  [[nodiscard]] const std::string& error() const { return error_; }
+
+ private:
+  /// Chains a zigzag delta with wrapping arithmetic: damaged deltas decode
+  /// to wrong times (caught by the checksum first), never to signed overflow.
+  static std::int64_t advance(std::int64_t time, std::uint64_t delta) {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(time) +
+                                     static_cast<std::uint64_t>(ckpt::unzigzag(delta)));
+  }
+
+  bool varint(ckpt::SpanCursor& in, std::uint64_t& value, const char* field) {
+    const ckpt::VarintFail why = in.varint(value);
+    return why == ckpt::VarintFail::kOk ||
+           fail(in, why == ckpt::VarintFail::kEof ? "truncated" : "overlong varint in", field);
+  }
+  bool u8(ckpt::SpanCursor& in, std::uint8_t& value, const char* field) {
+    return in.u8(value) || fail(in, "truncated", field);
+  }
+  bool f64(ckpt::SpanCursor& in, double& value, const char* field) {
+    return in.f64(value) || fail(in, "truncated", field);
+  }
+  /// Cold path: records "<what> <field> at offset N" and returns false.
+  bool fail(const ckpt::SpanCursor& in, const char* what, const char* field = nullptr) {
+    error_ = what;
+    if (field != nullptr) error_ += std::string(" ") + field;
+    error_ += " at offset " + std::to_string(in.pos() - file_);
+    return false;
+  }
+
+  const char* file_;
+  UserId user_;
+  ckpt::SpanCursor packets_;
+  ckpt::SpanCursor transitions_;
+  ckpt::SpanCursor order_;
+  std::int64_t pkt_time_ = 0;
+  std::int64_t tr_time_ = 0;
+  std::string error_;
+};
+
+void emit(TraceSink& sink, const PacketRecord& p) { sink.on_packet(p); }
+void emit(TraceSink& sink, const StateTransition& t) { sink.on_transition(t); }
 
 }  // namespace
 
@@ -52,29 +189,39 @@ SegmentWriter::SegmentWriter(const StudyMeta& meta) {
 }
 
 void SegmentWriter::add_chunk(const EventBatch& events, std::uint32_t seq, bool final_chunk) {
-  ckpt::ByteWriter packets;
+  // One pre-sized window over the body; the three streams are written
+  // straight into it back to back and the window is trimmed at the end.
+  char* const begin =
+      body_.open_window(events.packets.size() * kMaxPacketBytes +
+                        events.transitions.size() * kMaxTransitionBytes +
+                        events.order.size() * kMaxOrderRunBytes);
+  char* out = begin;
+
   std::int64_t pkt_time = 0;
   for (const PacketRecord& p : events.packets) {
-    packets.put_varint(ckpt::zigzag(p.time.us - pkt_time));
+    put_varint(out, ckpt::zigzag(p.time.us - pkt_time));
     pkt_time = p.time.us;
-    packets.put_varint(p.app);
-    packets.put_varint(p.flow);
-    packets.put_varint(p.bytes);
-    packets.put_u8(packet_flags(p));
-    packets.put_f64(p.joules);
+    put_varint(out, p.app);
+    put_varint(out, p.flow);
+    put_varint(out, p.bytes);
+    // Attribution fills joules after capture, so they are almost always
+    // +0.0: only another bit pattern (-0.0 and NaNs included) costs bytes.
+    const bool joules = std::bit_cast<std::uint64_t>(p.joules) != 0;
+    *out++ = static_cast<char>(packet_flags(p) | (joules ? kPacketFlagJoules : 0));
+    if (joules) put_f64(out, p.joules);
   }
+  char* const packets_end = out;
 
-  ckpt::ByteWriter transitions;
   std::int64_t tr_time = 0;
   for (const StateTransition& t : events.transitions) {
-    transitions.put_varint(ckpt::zigzag(t.time.us - tr_time));
+    put_varint(out, ckpt::zigzag(t.time.us - tr_time));
     tr_time = t.time.us;
-    transitions.put_varint(t.app);
-    transitions.put_u8(static_cast<std::uint8_t>(t.from));
-    transitions.put_u8(static_cast<std::uint8_t>(t.to));
+    put_varint(out, t.app);
+    *out++ = static_cast<char>(t.from);
+    *out++ = static_cast<char>(t.to);
   }
+  char* const transitions_end = out;
 
-  ckpt::ByteWriter order;
   std::uint64_t runs = 0;
   std::size_t oi = 0;
   const std::size_t n = events.order.size();
@@ -82,18 +229,18 @@ void SegmentWriter::add_chunk(const EventBatch& events, std::uint32_t seq, bool 
     const EventKind kind = events.order[oi];
     std::size_t run = 1;
     while (oi + run < n && events.order[oi + run] == kind) ++run;
-    order.put_u8(static_cast<std::uint8_t>(kind));
-    order.put_varint(run);
+    *out++ = static_cast<char>(kind);
+    put_varint(out, run);
     ++runs;
     oi += run;
   }
 
   chunks_.push_back({events.user, seq, final_chunk, events.packets.size(),
-                     events.transitions.size(), runs, packets.size(), transitions.size(),
-                     order.size()});
-  body_.put_bytes(packets.bytes());
-  body_.put_bytes(transitions.bytes());
-  body_.put_bytes(order.bytes());
+                     events.transitions.size(), runs,
+                     static_cast<std::size_t>(packets_end - begin),
+                     static_cast<std::size_t>(transitions_end - packets_end),
+                     static_cast<std::size_t>(out - transitions_end)});
+  body_.close_window(out);
 }
 
 std::string SegmentWriter::finish() {
@@ -236,11 +383,12 @@ util::Status MappedSegment::parse() {
     chunk.packets = *packets;
     chunk.transitions = *transitions;
     chunk.order_runs = *runs;
-    // Lower-bound sanity on stream lengths: a packet encodes to >= 13
-    // bytes, a transition to >= 4, an order run to >= 2.
+    // Lower-bound sanity on stream lengths: a packet encodes to >= 5
+    // bytes (joules are omitted when +0.0), a transition to >= 4, an order
+    // run to >= 2.
     const std::size_t span = size_ - kFooter;
     if (*packets_len > span || *transitions_len > span || *order_len > span ||
-        chunk.packets * 13 > *packets_len || chunk.transitions * 4 > *transitions_len ||
+        chunk.packets * 5 > *packets_len || chunk.transitions * 4 > *transitions_len ||
         chunk.order_runs * 2 > *order_len) {
       return corrupt("chunk " + std::to_string(i) + " lengths inconsistent with counts");
     }
@@ -275,7 +423,6 @@ std::uint64_t MappedSegment::index_bytes() const {
 
 util::Status MappedSegment::replay_chunk(const SegmentChunkInfo& chunk, TraceSink& sink,
                                          std::size_t batch_size) const {
-  const std::string_view all{data_, size_};
   const auto in_file = [&](std::size_t off, std::size_t len) {
     return off <= size_ && len <= size_ - off;
   };
@@ -284,112 +431,63 @@ util::Status MappedSegment::replay_chunk(const SegmentChunkInfo& chunk, TraceSin
       !in_file(chunk.order_offset, chunk.order_len)) {
     return corrupt("chunk span out of file bounds");
   }
-  const std::string where =
-      "user " + std::to_string(chunk.user) + " chunk " + std::to_string(chunk.seq) + ": ";
+  const auto damaged = [&](const std::string& why) {
+    return corrupt("user " + std::to_string(chunk.user) + " chunk " +
+                   std::to_string(chunk.seq) + ": " + why);
+  };
 
-  ckpt::ByteReader packets{all.substr(chunk.packets_offset, chunk.packets_len)};
-  ckpt::ByteReader transitions{all.substr(chunk.transitions_offset, chunk.transitions_len)};
-  ckpt::ByteReader order{all.substr(chunk.order_offset, chunk.order_len)};
-
+  ChunkReader in{data_, chunk};
   EventBatch scratch;
   scratch.user = chunk.user;
   if (batch_size > 0) {
     scratch.reserve(std::min<std::uint64_t>(batch_size, chunk.events()));
   }
-  const auto deliver = [&] {
-    if (scratch.size() >= batch_size) {
-      sink.on_batch(scratch);
-      scratch.clear();
+  // Decodes `run` events of one kind: per record at batch_size 0, else
+  // straight into the batch's column, delivering each batch as it fills.
+  const auto replay_run = [&](auto& column, EventKind kind, std::uint64_t run) {
+    if (batch_size == 0) {
+      typename std::remove_reference_t<decltype(column)>::value_type record;
+      for (std::uint64_t j = 0; j < run; ++j) {
+        if (!in.read(record)) return false;
+        emit(sink, record);
+      }
+      return true;
     }
+    while (run > 0) {
+      const std::uint64_t take = std::min<std::uint64_t>(run, batch_size - scratch.size());
+      for (std::uint64_t j = 0; j < take; ++j) {
+        if (!in.read(column.emplace_back())) return false;
+      }
+      scratch.order.insert(scratch.order.end(), take, kind);
+      run -= take;
+      if (scratch.size() == batch_size) {
+        sink.on_batch(scratch);
+        scratch.clear();
+      }
+    }
+    return true;
   };
 
-  std::int64_t pkt_time = 0;
-  std::int64_t tr_time = 0;
   std::uint64_t pk_seen = 0;
   std::uint64_t tr_seen = 0;
   for (std::uint64_t r = 0; r < chunk.order_runs; ++r) {
-    const auto kind = order.get_u8("order kind");
-    if (!kind.ok()) return corrupt(where + kind.status().message());
-    const auto run = order.get_varint("order run");
-    if (!run.ok()) return corrupt(where + run.status().message());
-    if (*kind > 1) return corrupt(where + "bad order kind " + std::to_string(*kind));
-    if (*kind == static_cast<std::uint8_t>(EventKind::kPacket)) {
-      if (*run > chunk.packets - pk_seen) return corrupt(where + "packet run overflows chunk");
-      for (std::uint64_t j = 0; j < *run; ++j) {
-        const auto dt = packets.get_varint("packet dt");
-        const auto app = packets.get_varint("packet app");
-        const auto flow = packets.get_varint("packet flow");
-        const auto bytes = packets.get_varint("packet bytes");
-        const auto flags = packets.get_u8("packet flags");
-        const auto joules = packets.get_f64("packet joules");
-        for (const util::Status& st : {dt.status(), app.status(), flow.status(), bytes.status(),
-                                       flags.status(), joules.status()}) {
-          if (!st.ok()) return corrupt(where + st.message());
-        }
-        const auto state = static_cast<std::uint8_t>(*flags >> 2);
-        if (*app > kNoApp || state >= kNumProcessStates) {
-          return corrupt(where + "bad packet fields at offset " +
-                         std::to_string(packets.offset()));
-        }
-        pkt_time += ckpt::unzigzag(*dt);
-        PacketRecord p;
-        p.time.us = pkt_time;
-        p.user = chunk.user;
-        p.app = static_cast<AppId>(*app);
-        p.flow = *flow;
-        p.bytes = *bytes;
-        p.direction = (*flags & 1) ? radio::Direction::kUplink : radio::Direction::kDownlink;
-        p.interface = (*flags & 2) ? Interface::kWifi : Interface::kCellular;
-        p.state = static_cast<ProcessState>(state);
-        p.joules = *joules;
-        if (batch_size == 0) {
-          sink.on_packet(p);
-        } else {
-          scratch.add(p);
-          deliver();
-        }
-      }
-      pk_seen += *run;
+    EventKind kind = EventKind::kPacket;
+    std::uint64_t run = 0;
+    if (!in.run(kind, run)) return damaged(in.error());
+    if (kind == EventKind::kPacket) {
+      if (run > chunk.packets - pk_seen) return damaged("packet run overflows chunk");
+      pk_seen += run;
+      if (!replay_run(scratch.packets, kind, run)) return damaged(in.error());
     } else {
-      if (*run > chunk.transitions - tr_seen) {
-        return corrupt(where + "transition run overflows chunk");
-      }
-      for (std::uint64_t j = 0; j < *run; ++j) {
-        const auto dt = transitions.get_varint("transition dt");
-        const auto app = transitions.get_varint("transition app");
-        const auto from = transitions.get_u8("transition from");
-        const auto to = transitions.get_u8("transition to");
-        for (const util::Status& st :
-             {dt.status(), app.status(), from.status(), to.status()}) {
-          if (!st.ok()) return corrupt(where + st.message());
-        }
-        if (*app > kNoApp || *from >= kNumProcessStates || *to >= kNumProcessStates) {
-          return corrupt(where + "bad transition fields at offset " +
-                         std::to_string(transitions.offset()));
-        }
-        tr_time += ckpt::unzigzag(*dt);
-        StateTransition t;
-        t.time.us = tr_time;
-        t.user = chunk.user;
-        t.app = static_cast<AppId>(*app);
-        t.from = static_cast<ProcessState>(*from);
-        t.to = static_cast<ProcessState>(*to);
-        if (batch_size == 0) {
-          sink.on_transition(t);
-        } else {
-          scratch.add(t);
-          deliver();
-        }
-      }
-      tr_seen += *run;
+      if (run > chunk.transitions - tr_seen) return damaged("transition run overflows chunk");
+      tr_seen += run;
+      if (!replay_run(scratch.transitions, kind, run)) return damaged(in.error());
     }
   }
   if (pk_seen != chunk.packets || tr_seen != chunk.transitions) {
-    return corrupt(where + "decoded event counts disagree with index");
+    return damaged("decoded event counts disagree with index");
   }
-  if (!packets.at_end() || !transitions.at_end() || !order.at_end()) {
-    return corrupt(where + "undecoded bytes left in chunk streams");
-  }
+  if (!in.consumed()) return damaged("undecoded bytes left in chunk streams");
   if (!scratch.empty()) sink.on_batch(scratch);
   return util::Status::ok_status();
 }

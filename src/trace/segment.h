@@ -8,16 +8,21 @@
 // bounded span at a time, so a study much larger than RAM replays with a
 // working set of O(batch_size), not O(stream).
 //
-// File layout (all multi-byte integers are ckpt/codec.h primitives):
+// File layout, version 2 (all multi-byte integers are ckpt/codec.h
+// primitives):
 //
-//   magic "WESG" | u8 version
+//   magic "WESG" | u8 version (2; any other version is refused on open)
 //   study meta:   varint num_users, varint num_apps,
 //                 zigzag-varint study_begin_us, zigzag-varint study_end_us
 //   payload:      per chunk, three byte streams back to back:
 //     packets     zigzag-varint dt_us (chains from the previous packet in
 //                 the chunk; the first is absolute), varint app, varint
-//                 flow, varint bytes, u8 flags (direction | wifi<<1 |
-//                 state<<2), f64 joules (raw LE bits)
+//                 flow, varint bytes, u8 flags, then f64 joules (raw LE
+//                 bits) only when flags bit 5 is set. Flags: bit 0 uplink,
+//                 bit 1 wifi, bits 2-4 process state, bit 5 joules present
+//                 (set whenever the double's bits are not +0.0, so -0.0,
+//                 NaN payloads and denormals round-trip bit-exactly), bits
+//                 6-7 reserved and rejected. A packet is >= 5 bytes.
 //     transitions zigzag-varint dt_us (own chain), varint app, u8 from, u8 to
 //     order       run-length pairs: u8 kind, varint run — the exact
 //                 packet/transition interleave, so replay reproduces the
@@ -29,6 +34,11 @@
 //                 are reconstructed cumulatively — chunks are contiguous)
 //   footer:       u64 LE index offset, u64 LE FNV-1a over every preceding
 //                 byte (including the index offset)
+//
+// Both directions run on raw pointers: the writer encodes each chunk into
+// a pre-sized window of the body (ckpt::ByteWriter::open_window), and
+// replay decodes on ckpt::SpanCursor, the one bounded cursor every
+// in-memory reader in the tree shares.
 //
 // Readers verify the trailer before trusting any field, and every parse or
 // decode failure is a positioned util::Status naming the file — a corrupted
@@ -49,7 +59,16 @@
 namespace wildenergy::trace {
 
 inline constexpr char kSegmentMagic[4] = {'W', 'E', 'S', 'G'};
-inline constexpr std::uint8_t kSegmentVersion = 1;
+inline constexpr std::uint8_t kSegmentVersion = 2;
+
+// Packet flags byte (format v2). Bits 6 and 7 are reserved: a reader
+// rejects a packet that sets either.
+inline constexpr std::uint8_t kPacketFlagUplink = 1 << 0;
+inline constexpr std::uint8_t kPacketFlagWifi = 1 << 1;
+inline constexpr int kPacketStateShift = 2;
+inline constexpr std::uint8_t kPacketStateMask = 0x7 << kPacketStateShift;
+inline constexpr std::uint8_t kPacketFlagJoules = 1 << 5;  ///< 8 joules bytes follow
+inline constexpr std::uint8_t kPacketFlagsReserved = 0xC0;
 
 /// One sealed chunk as recorded in a segment's index. A user's full stream
 /// is the concatenation of their chunks in seq order, the last one final.

@@ -266,7 +266,9 @@ TEST(KillRecoverAccountPlane, ResumedFoldRunBitIdenticalAtEveryThreadCount) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     // Reference: fully resident, uninterrupted, no checkpointing at all.
     sim::StudyGenerator reference_gen{cfg};
-    core::StudyPipeline reference{&reference_gen, {.num_threads = threads}};
+    core::PipelineOptions reference_options;
+    reference_options.num_threads = threads;
+    core::StudyPipeline reference{&reference_gen, reference_options};
     analysis::PersistenceAnalysis reference_persist;
     reference.add_analysis("persistence", &reference_persist);
     ASSERT_TRUE(reference.run().ok());
@@ -348,7 +350,9 @@ TEST(KillRecoverAccountPlane, ResumedFoldSweepBitIdenticalAtEveryThreadCount) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     // Reference: fully resident, uninterrupted, no checkpointing at all.
     sim::StudyGenerator reference_gen{cfg};
-    core::SweepEngine reference{&reference_gen, {.num_threads = threads}};
+    core::SweepOptions reference_options;
+    reference_options.num_threads = threads;
+    core::SweepEngine reference{&reference_gen, reference_options};
     analysis::PersistenceAnalysis reference_persist[2];
     add_fold_scenarios(reference, reference_persist);
     ASSERT_TRUE(reference.run().ok());

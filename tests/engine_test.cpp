@@ -212,9 +212,11 @@ TEST(ShardWindow, LiveClonesNeverExceedTheWindow) {
         CloneCount count;
         CountingSink sink{&count};
         sim::StudyGenerator generator{cfg};
-        core::StudyPipeline pipeline{&generator, {.num_threads = threads,
-                                                  .checkpoint_dir = checkpoint_dir,
-                                                  .checkpoint_every_users = 16}};
+        core::PipelineOptions options;
+        options.num_threads = threads;
+        options.checkpoint_dir = checkpoint_dir;
+        options.checkpoint_every_users = 16;
+        core::StudyPipeline pipeline{&generator, options};
         pipeline.add_analysis("counting", &sink);
         ASSERT_TRUE(pipeline.run().ok());
         EXPECT_EQ(count.made.load(), 200);
@@ -227,15 +229,22 @@ TEST(ShardWindow, LiveClonesNeverExceedTheWindow) {
         CountingSink baseline{&count};
         CountingSink doze{&count};
         sim::StudyGenerator generator{cfg};
-        core::SweepEngine sweep{&generator, {.num_threads = threads,
-                                             .checkpoint_dir = checkpoint_dir,
-                                             .checkpoint_every_users = 16}};
-        sweep.add_scenario({.name = "baseline", .analyses = {{"counting", &baseline}}});
-        sweep.add_scenario({.name = "doze",
-                            .policy = [](trace::TraceSink* d) {
-                              return std::make_unique<core::DozeLikePolicy>(d);
-                            },
-                            .analyses = {{"counting", &doze}}});
+        core::SweepOptions options;
+        options.num_threads = threads;
+        options.checkpoint_dir = checkpoint_dir;
+        options.checkpoint_every_users = 16;
+        core::SweepEngine sweep{&generator, options};
+        core::Scenario baseline_scenario;
+        baseline_scenario.name = "baseline";
+        baseline_scenario.analyses = {{"counting", &baseline}};
+        sweep.add_scenario(std::move(baseline_scenario));
+        core::Scenario doze_scenario;
+        doze_scenario.name = "doze";
+        doze_scenario.policy = [](trace::TraceSink* d) {
+          return std::make_unique<core::DozeLikePolicy>(d);
+        };
+        doze_scenario.analyses = {{"counting", &doze}};
+        sweep.add_scenario(std::move(doze_scenario));
         ASSERT_TRUE(sweep.run().ok());
         EXPECT_EQ(count.made.load(), 400);
         EXPECT_EQ(count.live.load(), 0);

@@ -112,7 +112,9 @@ TEST(KillRecoverPipeline, ResumedRunIsBitIdenticalAtEveryThreadCount) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     // Reference: the same study left uninterrupted, no checkpointing at all.
     sim::StudyGenerator reference_gen{cfg};
-    core::StudyPipeline reference{&reference_gen, {.num_threads = threads}};
+    core::PipelineOptions reference_options;
+    reference_options.num_threads = threads;
+    core::StudyPipeline reference{&reference_gen, reference_options};
     Analyses reference_set;
     reference_set.attach(reference);
     ASSERT_TRUE(reference.run().ok());
@@ -158,7 +160,9 @@ TEST(KillRecoverPipeline, ResumedRunIsBitIdenticalAtEveryThreadCount) {
 TEST(KillRecoverPipeline, ResumeFallsBackPastATornCheckpointLoudly) {
   const sim::StudyConfig cfg = test_config();
   sim::StudyGenerator reference_gen{cfg};
-  core::StudyPipeline reference{&reference_gen, {.num_threads = 2}};
+  core::PipelineOptions reference_options;
+  reference_options.num_threads = 2;
+  core::StudyPipeline reference{&reference_gen, reference_options};
   ASSERT_TRUE(reference.run().ok());
 
   const fs::path dir = scratch_dir("torn");
@@ -203,7 +207,9 @@ TEST(KillRecoverPipeline, ResumeFallsBackPastATornCheckpointLoudly) {
 TEST(KillRecoverPipeline, IoErrorWriteFailureIsCountedAndTheRunCompletes) {
   const sim::StudyConfig cfg = test_config();
   sim::StudyGenerator reference_gen{cfg};
-  core::StudyPipeline reference{&reference_gen, {.num_threads = 2}};
+  core::PipelineOptions reference_options;
+  reference_options.num_threads = 2;
+  core::StudyPipeline reference{&reference_gen, reference_options};
   ASSERT_TRUE(reference.run().ok());
 
   const fs::path dir = scratch_dir("io_error");
@@ -366,7 +372,9 @@ TEST(KillRecoverSweep, MidScenarioKillResumesBitIdenticalAtEveryThreadCount) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     // Reference: the classic flat pool, checkpointing off.
     sim::StudyGenerator flat_gen{cfg};
-    core::SweepEngine flat{&flat_gen, {.num_threads = threads}};
+    core::SweepOptions flat_options;
+    flat_options.num_threads = threads;
+    core::SweepEngine flat{&flat_gen, flat_options};
     SweepSetup flat_setup;
     flat_setup.add_scenarios(flat);
     ASSERT_TRUE(flat.run().ok());

@@ -6,6 +6,12 @@
 //   - Corruption matrix (satellite of PR 9): every fault/injector.h damage
 //     kind applied to a sealed segment yields a positioned util::Status on
 //     open — never a silent wrong replay.
+//   - Decoder matrix: with a valid checksum, each of replay's own checks
+//     (truncation, overlong varints, order kind, run overflow, field
+//     ranges, reserved flag bits, joules payload, counts, trailing bytes)
+//     fails the chunk with a status naming the file, user and chunk.
+//   - Format v2: joules round-trip as bit patterns, +0.0 costs no payload
+//     bytes, and a version-1 segment is refused on open and on resume.
 //   - SpillingTraceStore replays bit-identical to the RAM TraceStore: same
 //     ledgers, figures, and analyses at batch sizes {1, 256, 4096} and
 //     thread counts {1, 2, 8}; the budget actually bounds resident columns.
@@ -16,9 +22,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -27,6 +36,7 @@
 #include "analysis/figures.h"
 #include "analysis/persistence.h"
 #include "appmodel/catalog.h"
+#include "ckpt/codec.h"
 #include "core/pipeline.h"
 #include "core/policy.h"
 #include "core/sweep.h"
@@ -210,6 +220,21 @@ void expect_identical_figures(const energy::EnergyLedger& a, const energy::Energ
   }
 }
 
+std::string read_file(const fs::path& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Recomputes a segment's FNV-1a trailer after an edit, so the edit reaches
+/// the decoder instead of failing the checksum.
+void reseal(std::string& bytes) {
+  const std::uint64_t checksum = ckpt::fnv1a(std::string_view{bytes}.substr(0, bytes.size() - 8));
+  for (int i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
+        static_cast<char>(checksum >> (8 * i));
+  }
+}
+
 sim::StudyConfig ooc_study() {
   sim::StudyConfig config = sim::small_study();
   config.num_days = 30;
@@ -278,6 +303,151 @@ TEST(SegmentFormat, EmptyChunkRoundTrips) {
   EXPECT_TRUE(replayed.empty());
 }
 
+TEST(SegmentFormat, JoulesRoundTripAsBitPatterns) {
+  const std::vector<double> joules = {
+      0.0,
+      -0.0,
+      std::bit_cast<double>(std::uint64_t{0x7FF80000DEADBEEF}),  // NaN with payload
+      std::numeric_limits<double>::denorm_min(),
+      1e-300,
+      1e300,
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  trace::EventBatch chunk;
+  chunk.user = 1;
+  for (std::size_t i = 0; i < joules.size(); ++i) {
+    trace::PacketRecord p = test_packet(1, 2'000'000 + 1'000 * static_cast<std::int64_t>(i),
+                                        static_cast<std::uint32_t>(i), 100 + i);
+    p.joules = joules[i];
+    chunk.add(p);
+    if (i % 2 == 1) chunk.add(test_transition(1, p.time.us, 2));
+  }
+
+  const fs::path dir = scratch_dir("joules");
+  fs::create_directories(dir);
+  trace::SegmentWriter writer{test_meta()};
+  writer.add_chunk(chunk, 0, true);
+  const fs::path file = dir / "seg_000001.wesg";
+  write_file(file, writer.finish());
+  trace::MappedSegment segment;
+  const util::Status opened = segment.open(file.string());
+  ASSERT_TRUE(opened.ok()) << opened.to_string();
+  for (const std::size_t batch_size : {std::size_t{0}, std::size_t{1}, std::size_t{256}}) {
+    SCOPED_TRACE("segment batch_size=" + std::to_string(batch_size));
+    const trace::EventBatch replayed = collect_chunk(segment, segment.chunks()[0], batch_size);
+    ASSERT_EQ(replayed.packets.size(), joules.size());
+    for (std::size_t i = 0; i < joules.size(); ++i) {
+      EXPECT_EQ(bits(replayed.packets[i].joules), bits(joules[i])) << "packet " << i;
+    }
+  }
+
+  // The same packets through a spilling store that seals every user.
+  trace::SpillOptions spill;
+  spill.dir = (dir / "store").string();
+  spill.budget_bytes = 0;
+  trace::SpillingTraceStore store{spill};
+  store.on_study_begin(test_meta());
+  store.on_user_begin(chunk.user);
+  store.on_batch(chunk);
+  store.on_user_end(chunk.user);
+  store.on_study_end();
+  ASSERT_TRUE(store.seal().ok());
+  ASSERT_TRUE(store.health().ok());
+  ASSERT_GT(store.num_segments(), 0u);
+  for (const std::size_t batch_size : {std::size_t{0}, std::size_t{1}, std::size_t{256}}) {
+    SCOPED_TRACE("store batch_size=" + std::to_string(batch_size));
+    trace::TraceCollector out;
+    ASSERT_TRUE(store.emit_user(chunk.user, out, batch_size).ok());
+    ASSERT_EQ(out.packets().size(), joules.size());
+    ASSERT_EQ(out.transitions().size(), chunk.transitions.size());
+    for (std::size_t i = 0; i < joules.size(); ++i) {
+      EXPECT_EQ(bits(out.packets()[i].joules), bits(joules[i])) << "packet " << i;
+    }
+  }
+}
+
+TEST(SegmentFormat, ZeroJoulesCostNoPayloadBytes) {
+  constexpr std::size_t kPackets = 300;
+  trace::EventBatch with_joules;
+  with_joules.user = 0;
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    with_joules.add(test_packet(0, 1'000'000 + 500 * static_cast<std::int64_t>(i),
+                                static_cast<std::uint32_t>(i % 7), 40 + 13 * i));
+  }
+  trace::EventBatch zero_joules = with_joules;
+  for (trace::PacketRecord& p : zero_joules.packets) {
+    ASSERT_NE(p.joules, 0.0);
+    p.joules = 0.0;
+  }
+
+  const fs::path dir = scratch_dir("zero_joules");
+  fs::create_directories(dir);
+  trace::SegmentWriter writer{test_meta()};
+  writer.add_chunk(with_joules, 0, true);
+  writer.add_chunk(zero_joules, 0, true);
+  const fs::path file = dir / "seg_000001.wesg";
+  write_file(file, writer.finish());
+  trace::MappedSegment segment;
+  ASSERT_TRUE(segment.open(file.string()).ok());
+  ASSERT_EQ(segment.chunks().size(), 2u);
+  EXPECT_EQ(segment.chunks()[0].packets_len, segment.chunks()[1].packets_len + 8 * kPackets);
+  expect_identical_columns(zero_joules, collect_chunk(segment, segment.chunks()[1], 64));
+}
+
+TEST(SegmentFormat, VersionOneSegmentIsRefusedOnOpenAndResume) {
+  const fs::path dir = scratch_dir("version_one");
+  fs::create_directories(dir);
+  trace::SegmentWriter writer{test_meta()};
+  writer.add_chunk(test_chunk(0, 1'500'000, 40), 0, true);
+  std::string bytes = writer.finish();
+  bytes[sizeof trace::kSegmentMagic] = 1;  // the version byte
+  reseal(bytes);
+  const fs::path file = dir / "seg_000001.wesg";
+  write_file(file, bytes);
+  trace::MappedSegment segment;
+  const util::Status opened = segment.open(file.string());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.code(), util::StatusCode::kDataLoss);
+  EXPECT_NE(opened.message().find("unsupported version 1"), std::string::npos)
+      << opened.message();
+  EXPECT_NE(opened.message().find("seg_000001.wesg"), std::string::npos) << opened.message();
+
+  // A store directory whose sealed segment is version 1: resume refuses it.
+  sim::StudyConfig config = sim::small_study();
+  config.num_days = 5;
+  const fs::path store_dir = dir / "store";
+  {
+    sim::StudyGenerator generator{config};
+    trace::SpillOptions spill;
+    spill.dir = store_dir.string();
+    trace::SpillingTraceStore store{spill};
+    ASSERT_TRUE(store.capture(generator).ok());
+    ASSERT_GT(store.num_segments(), 0u);
+  }
+  fs::path sealed;
+  for (const fs::directory_entry& entry : fs::directory_iterator(store_dir)) {
+    if (entry.path().extension() == ".wesg") sealed = entry.path();
+  }
+  ASSERT_FALSE(sealed.empty());
+  std::string sealed_bytes = read_file(sealed);
+  sealed_bytes[sizeof trace::kSegmentMagic] = 1;
+  reseal(sealed_bytes);
+  write_file(sealed, sealed_bytes);
+
+  sim::StudyGenerator generator{config};
+  trace::SpillOptions spill;
+  spill.dir = store_dir.string();
+  spill.resume = true;
+  trace::SpillingTraceStore store{spill};
+  const util::Status resumed = store.capture(generator);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.code(), util::StatusCode::kDataLoss);
+  EXPECT_NE(resumed.message().find("unsupported version 1"), std::string::npos)
+      << resumed.message();
+  EXPECT_NE(resumed.message().find(sealed.filename().string()), std::string::npos)
+      << resumed.message();
+}
+
 // ------------------------------------------------------- corruption matrix
 // Sealed segments under every fault/injector.h damage kind: open must fail
 // with a positioned status naming the file, or — when the corruption is
@@ -324,6 +494,101 @@ TEST(SegmentCorruption, EveryDamageKindIsDetectedNeverSilent) {
         EXPECT_NE(opened.message().find("seg_000001.wesg"), std::string::npos)
             << "status does not name the damaged file: " << opened.message();
       }
+    }
+  }
+}
+
+// Replay's own checks, reached past a valid checksum: each case edits one
+// field of a sealed chunk whose every varint is one byte, re-seals the FNV
+// trailer, and expects replay_chunk to fail naming the file, user and chunk.
+TEST(SegmentCorruption, DecoderChecksFireUnderAValidChecksum) {
+  // Stream layout of the chunk below (offsets within each stream):
+  //   packets      0 dt, 1 app, 2 flow, 3 bytes, 4 flags|joules, 5-12 joules,
+  //                13 dt, 14 app, 15 flow, 16 bytes, 17 flags
+  //   transitions  0 dt, 1 app, 2 from, 3 to
+  //   order        0 kind P, 1 run 1, 2 kind T, 3 run 1, 4 kind P, 5 run 1
+  trace::EventBatch chunk;
+  chunk.user = 2;
+  trace::PacketRecord first = test_packet(2, 5, 3, 9);
+  first.flow = 7;
+  first.joules = 0.5;
+  trace::PacketRecord second = test_packet(2, 6, 4, 10);
+  second.flow = 8;
+  second.joules = 0.0;
+  chunk.add(first);
+  chunk.add(test_transition(2, 5, 3));
+  chunk.add(second);
+
+  trace::SegmentWriter writer{test_meta()};
+  writer.add_chunk(chunk, 3, false);
+  const std::string clean = writer.finish();
+  const fs::path dir = scratch_dir("decoder_checks");
+  fs::create_directories(dir);
+  const fs::path file = dir / "seg_000001.wesg";
+  write_file(file, clean);
+  trace::SegmentChunkInfo info;
+  {
+    trace::MappedSegment segment;
+    ASSERT_TRUE(segment.open(file.string()).ok());
+    info = segment.chunks()[0];
+    expect_identical_columns(chunk, collect_chunk(segment, info, 0));
+  }
+  ASSERT_EQ(info.packets_len, 18u);
+  ASSERT_EQ(info.transitions_len, 4u);
+  ASSERT_EQ(info.order_len, 6u);
+  const std::size_t pk = info.packets_offset;
+  const std::size_t ord = info.order_offset;
+
+  struct Case {
+    const char* name;
+    std::function<void(std::string&)> edit;
+    const char* reason;  ///< substring of the status naming the failed check
+  };
+  const auto set = [](std::size_t at, int value) {
+    return [at, value](std::string& b) { b[at] = static_cast<char>(value); };
+  };
+  const std::vector<Case> cases = {
+      {"truncated varint", set(ord + 5, 0x81), "truncated order run"},
+      {"overlong varint",
+       [pk](std::string& b) {
+         for (std::size_t i = 0; i < 10; ++i) b[pk + i] = static_cast<char>(0xFF);
+       },
+       "overlong varint in packet dt"},
+      {"order kind 2", set(ord + 0, 2), "bad order kind 2"},
+      {"packet run overflow", set(ord + 5, 2), "packet run overflows"},
+      {"transition run overflow", set(ord + 3, 2), "transition run overflows"},
+      {"state 5", set(pk + 17, trace::kPacketFlagWifi | (5 << trace::kPacketStateShift)),
+       "bad packet fields"},
+      {"reserved flag bit 6", set(pk + 17, 0x40 | clean[pk + 17]), "reserved packet flag"},
+      {"reserved flag bit 7", set(pk + 17, 0x80 | clean[pk + 17]), "reserved packet flag"},
+      {"joules bit without 8 bytes", set(pk + 17, trace::kPacketFlagJoules | clean[pk + 17]),
+       "truncated packet joules"},
+      {"counts disagree with index", set(ord + 5, 0), "counts disagree"},
+      {"trailing undecoded bytes", set(pk + 4, clean[pk + 4] & ~trace::kPacketFlagJoules),
+       "undecoded bytes"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string bytes = clean;
+    c.edit(bytes);
+    ASSERT_NE(bytes, clean);
+    reseal(bytes);
+    write_file(file, bytes);
+    trace::MappedSegment segment;
+    const util::Status opened = segment.open(file.string());
+    ASSERT_TRUE(opened.ok()) << opened.to_string();
+    for (const std::size_t batch_size : {std::size_t{0}, std::size_t{256}}) {
+      struct NullSink final : trace::TraceSink {
+        void on_packet(const trace::PacketRecord&) override {}
+        void on_transition(const trace::StateTransition&) override {}
+      } sink;
+      const util::Status replayed = segment.replay_chunk(segment.chunks()[0], sink, batch_size);
+      ASSERT_FALSE(replayed.ok()) << "batch_size " << batch_size << ": damage went undetected";
+      EXPECT_EQ(replayed.code(), util::StatusCode::kDataLoss);
+      const std::string& message = replayed.message();
+      EXPECT_NE(message.find("seg_000001.wesg"), std::string::npos) << message;
+      EXPECT_NE(message.find("user 2 chunk 3"), std::string::npos) << message;
+      EXPECT_NE(message.find(c.reason), std::string::npos) << message;
     }
   }
 }
@@ -594,7 +859,9 @@ TEST(SweepStoreBackend, SpillingSweepMatchesRamSweep) {
   const sim::StudyConfig config = ooc_study();
 
   const auto add_scenarios = [](core::SweepEngine& sweep) {
-    sweep.add_scenario({.name = "baseline"});
+    core::Scenario baseline;
+    baseline.name = "baseline";
+    sweep.add_scenario(std::move(baseline));
     core::Scenario kill;
     kill.name = "kill-3d";
     kill.policy = [](trace::TraceSink* downstream) {
@@ -604,7 +871,9 @@ TEST(SweepStoreBackend, SpillingSweepMatchesRamSweep) {
   };
 
   sim::StudyGenerator ram_gen{config};
-  core::SweepEngine ram_sweep{&ram_gen, {.num_threads = 2}};
+  core::SweepOptions ram_options;
+  ram_options.num_threads = 2;
+  core::SweepEngine ram_sweep{&ram_gen, ram_options};
   add_scenarios(ram_sweep);
   const auto ram_stats = ram_sweep.run();
   ASSERT_TRUE(ram_stats.ok()) << ram_stats.status().to_string();

@@ -326,10 +326,15 @@ TEST(TelemetryShardedProfile, SweepScenarioStagesAreProfiledWhenRequested) {
   options.num_threads = 2;
   options.collect_stage_stats = true;
   core::SweepEngine sweep{&generator, options};
-  sweep.add_scenario({.name = "baseline"});
-  sweep.add_scenario({.name = "kill-2d", .policy = [](trace::TraceSink* d) {
-                        return std::make_unique<core::KillAfterIdlePolicy>(d, days(2.0));
-                      }});
+  core::Scenario baseline;
+  baseline.name = "baseline";
+  sweep.add_scenario(std::move(baseline));
+  core::Scenario kill;
+  kill.name = "kill-2d";
+  kill.policy = [](trace::TraceSink* d) {
+    return std::make_unique<core::KillAfterIdlePolicy>(d, days(2.0));
+  };
+  sweep.add_scenario(std::move(kill));
   const auto stats = sweep.run();
   ASSERT_TRUE(stats.ok());
   EXPECT_GT(stats->memory.store.resident_bytes, 0u);  // the cached trace is accounted
@@ -357,10 +362,13 @@ TEST(SweepProgress, CallbackCoversEveryScenarioUserShard) {
   std::vector<core::SweepProgress> events;
   options.progress = [&events](const core::SweepProgress& p) { events.push_back(p); };
   core::SweepEngine sweep{&generator, options};
-  sweep.add_scenario({.name = "baseline"});
-  sweep.add_scenario({.name = "doze", .policy = [](trace::TraceSink* d) {
-                        return std::make_unique<core::DozeLikePolicy>(d);
-                      }});
+  core::Scenario baseline;
+  baseline.name = "baseline";
+  sweep.add_scenario(std::move(baseline));
+  core::Scenario doze;
+  doze.name = "doze";
+  doze.policy = [](trace::TraceSink* d) { return std::make_unique<core::DozeLikePolicy>(d); };
+  sweep.add_scenario(std::move(doze));
   ASSERT_TRUE(sweep.run().ok());
 
   const std::size_t total = 2u * config.num_users;
